@@ -11,9 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
+from . import InvariantError
 from . import constants as C
+
+# the acceptance suite, found from the package location so that verify-all
+# works from any directory of a source checkout
+ACCEPTANCE_TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, os.pardir, "tests", "test_acceptance.py")
 
 
 def _round_floats(obj):
@@ -30,13 +37,16 @@ def _round_floats(obj):
     return obj
 
 
-def emit_json(obj, out_path: str | None):
-    text = json.dumps(_round_floats(obj), sort_keys=True, indent=1)
+def _write(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def emit_json(obj, out_path: str | None):
+    _write(json.dumps(_round_floats(obj), sort_keys=True, indent=1), out_path)
 
 
 def emit_tsv(header: list[str], rows: list[tuple], out_path: str | None):
@@ -44,12 +54,15 @@ def emit_tsv(header: list[str], rows: list[tuple], out_path: str | None):
     for r in rows:
         lines.append("\t".join(
             f"{x:.12g}" if isinstance(x, float) else str(x) for x in r))
-    text = "\n".join(lines)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), out_path)
+
+
+def _delta_weights():
+    """omega_1 and omega_2 of the delta expansions, on their default supports."""
+    from .weights import make_bump
+
+    return (make_bump(*C.OMEGA1_SUPPORT, "radial-normalized"),
+            make_bump(*C.OMEGA2_SUPPORT, "even-halfline-normalized"))
 
 
 def _cong_from_args(args):
@@ -62,13 +75,17 @@ def _cong_from_args(args):
     return CongruenceData(M, CycRes(b1, M), CycRes(b2, M))
 
 
+def _add_congruence_args(p):
+    p.add_argument("--M", type=int, default=1)
+    p.add_argument("--beta1", type=int, nargs=4)
+    p.add_argument("--beta2", type=int, nargs=4)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qdl", description=__doc__)
     ap.add_argument("--out", help="write the report to this path instead of stdout")
     ap.add_argument("--format", choices=["json", "tsv"], default="json")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--cache-dir", help="prime-table cache directory (or QDL_CACHE)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("rho", help="congruence count rho(q)")
@@ -80,9 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "s2":
             p.add_argument("--d", type=int, default=1)
             p.add_argument("--c", type=int, nargs=2, default=(1, 0))
-        p.add_argument("--M", type=int, default=1)
-        p.add_argument("--beta1", type=int, nargs=4)
-        p.add_argument("--beta2", type=int, nargs=4)
+        _add_congruence_args(p)
         p.add_argument("--a1", type=int, nargs=4, default=(1, 0, 0, 0))
         p.add_argument("--a2", type=int, nargs=4, default=(0, 1, 0, 0))
 
@@ -99,17 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma-p")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--M", type=int, default=1)
-    p.add_argument("--beta1", type=int, nargs=4)
-    p.add_argument("--beta2", type=int, nargs=4)
+    _add_congruence_args(p)
     p.add_argument("--tail", type=float, default=1e-6)
 
     p = sub.add_parser("tau-p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--v", type=int, nargs=2, required=True)
-    p.add_argument("--M", type=int, default=1)
-    p.add_argument("--beta1", type=int, nargs=4)
-    p.add_argument("--beta2", type=int, nargs=4)
+    _add_congruence_args(p)
     p.add_argument("--tail", type=float, default=1e-6)
 
     p = sub.add_parser("singular-series")
@@ -142,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thm2-check")
     p.add_argument("--X1", type=float, default=12.0)
     p.add_argument("--X2", type=float, default=12.0)
-    p.add_argument("--M", type=int, default=1)
-    p.add_argument("--beta1", type=int, nargs=4)
-    p.add_argument("--beta2", type=int, nargs=4)
+    _add_congruence_args(p)
     p.add_argument("--pairs", type=int, default=12)
     p.add_argument("--mc-samples", type=int, default=60_000)
 
@@ -208,9 +217,8 @@ def dispatch(args) -> int:
 
     if cmd == "delta1d-check":
         from .delta import delta1d
-        from .weights import make_bump
 
-        w2 = make_bump(*C.OMEGA2_SUPPORT, "even-halfline-normalized")
+        _, w2 = _delta_weights()
         worst = 0.0
         rows = []
         for n in range(-args.nmax, args.nmax + 1):
@@ -226,10 +234,8 @@ def dispatch(args) -> int:
         import numpy as np
 
         from .delta import delta2d
-        from .weights import make_bump
 
-        w1 = make_bump(*C.OMEGA1_SUPPORT, "radial-normalized")
-        w2 = make_bump(*C.OMEGA2_SUPPORT, "even-halfline-normalized")
+        w1, w2 = _delta_weights()
         rng = np.random.default_rng(args.seed)
         pts = [(0, 0)]
         while len(pts) < args.grid:
@@ -237,9 +243,6 @@ def dispatch(args) -> int:
             pts.append(n)
         rows = []
         worst = 0.0
-        import time
-
-        t0 = time.time()
         for n in pts:
             v = delta2d(n, args.D, args.X, w1, w2)
             err = abs(v - (1.0 if n == (0, 0) else 0.0))
@@ -249,7 +252,7 @@ def dispatch(args) -> int:
             emit_tsv(["n1", "n2", "value", "abs_error"], rows, out)
         else:
             emit_json({"X": args.X, "D": args.D, "max_error": worst,
-                       "term_count": len(rows), "runtime_s": time.time() - t0}, out)
+                       "term_count": len(rows)}, out)
         return 0 if worst <= 1e-3 else 2
 
     if cmd == "poisson-check":
@@ -315,7 +318,7 @@ def dispatch(args) -> int:
         return 0
 
     if cmd == "lambda":
-        from .dedekind import classify, lambda_p
+        from .dedekind import classify
         from .residues import IntPoly, roots_mod_p, sieve_primes
 
         desc = classify(IntPoly(*args.f))
@@ -405,11 +408,9 @@ def dispatch(args) -> int:
 
     if cmd == "prop5-check":
         from .experiments import ArchWeight, ExperimentConfig, prop5_decomposition_check
-        from .weights import make_bump
 
         cfg = ExperimentConfig(X1=args.X1, X2=args.X2, D=args.D, M=args.M)
-        w1 = make_bump(*C.OMEGA1_SUPPORT, "radial-normalized")
-        w2 = make_bump(*C.OMEGA2_SUPPORT, "even-halfline-normalized")
+        w1, w2 = _delta_weights()
         phi = ArchWeight.centered(0.35)
         rep = prop5_decomposition_check(cfg, phi, phi, w1, w2)
         emit_json(rep, out)
@@ -418,9 +419,13 @@ def dispatch(args) -> int:
     if cmd == "verify-all":
         import subprocess
 
+        path = os.path.normpath(ACCEPTANCE_TESTS)
+        if not os.path.isfile(path):
+            print(f"no acceptance suite at {path}: verify-all needs a source checkout",
+                  file=sys.stderr)
+            return 1
         extra = [] if args.budget == "full" else ["-m", "not slow"]
-        r = subprocess.run([sys.executable, "-m", "pytest", "tests/test_acceptance.py",
-                            "-v", *extra])
+        r = subprocess.run([sys.executable, "-m", "pytest", path, "-v", *extra])
         return 0 if r.returncode == 0 else 2
 
     print(f"unknown subcommand {cmd}", file=sys.stderr)
@@ -438,6 +443,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except InvariantError as e:
+        print(f"invariant violated: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,9 +31,3 @@ SP_VK_TAIL_C = 8.0
 
 # |sigma_p(c,d) truncation step k -> k+1| <= C (h+k+1) p^(4m-2h-3k-3+ell)
 SIGMA_CD_TAIL_C = 8.0
-
-# |N1*(q)| * q^2 <= C * M^4 * q^0.1    (Moebius coefficient decay)
-N1_STAR_DECAY_C = 8.0
-
-# |S-hat(w; q)| <= C * M^6 * (w1^4 + w2^4, q) / q^1.9
-SHAT_DECAY_C = 8.0

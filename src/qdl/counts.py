@@ -27,14 +27,20 @@ from math import gcd
 
 import numpy as np
 
+from . import InvariantError
 from .cyclotomic import CycInt, mult_matrix
 from .linalg import char_sum_over_solutions, solve_mod
-from .residues import factorize
+from .residues import factorize, vp
 
 # counts stay well inside float53 exactness only for small totals; rounding
-# slack is asserted against this margin when a complex phase sum must land
+# slack is checked against this margin when a complex phase sum must land
 # on an integer.
 _ROUND_TOL = 0.2
+
+
+def phase_sum(terms, n: int):
+    """sum of c * e(r/n) over (r, c) pairs, added in the order given."""
+    return sum(c * np.exp(2j * np.pi * r / n) for r, c in terms)
 
 
 def phase_row(mu: CycInt) -> list[int]:
@@ -117,15 +123,12 @@ def _kernel_sizes_vectorized(p: int, e: int, xs: np.ndarray, ys: np.ndarray) -> 
     return exps
 
 
-def _local_rows_matrix(rows: list[list[int]]) -> list[list[int]]:
-    return rows if rows else [[0, 0]]
-
-
 def _dual_subgroup(n: int, rows: list[list[int]]):
     """Solutions w of t.w = 0 (mod n) for every generator row t of L."""
-    A = _local_rows_matrix(rows)
+    A = rows or [[0, 0]]
     sol = solve_mod(A, [0] * len(A), n)
-    assert sol is not None
+    if sol is None:
+        raise InvariantError("a homogeneous system mod n has no solution")
     return sol
 
 
@@ -139,45 +142,36 @@ def count_pairs(n: int, M: int, beta1p: CycInt, beta2p: CycInt,
     """
     total = 1
     for p, e in factorize(n).items():
-        total *= _count_pairs_local(p, e, M, beta1p, beta2p,
-                                    tuple(tuple(r) for r in local_rows(p, e)))
+        g = gcd(p ** e, M)
+        total *= _count_pairs_local_cached(p, e, g, tuple(c % g for c in beta1p.coords()),
+                                           tuple(c % g for c in beta2p.coords()),
+                                           tuple(tuple(r) for r in local_rows(p, e)))
     return total
 
 
 @lru_cache(maxsize=4096)
 def _count_pairs_local_cached(p: int, e: int, g: int, b1c, b2c, rows) -> int:
-    return _count_pairs_local_impl(p, e, g, CycInt(*b1c), CycInt(*b2c), rows)
-
-
-def _count_pairs_local(p: int, e: int, M: int, beta1p: CycInt, beta2p: CycInt,
-                       rows) -> int:
-    pe = p ** e
-    g = gcd(pe, M)
-    b1 = tuple(c % g for c in beta1p.coords())
-    b2 = tuple(c % g for c in beta2p.coords())
-    return _count_pairs_local_cached(p, e, g, b1, b2, rows)
-
-
-def _count_pairs_local_impl(p: int, e: int, g: int, beta1p: CycInt, beta2p: CycInt,
-                            rows) -> int:
+    """The local pair count, with the beta' coordinates already reduced mod g."""
     pe = p ** e
     dual = _dual_subgroup(pe, [list(r) for r in rows])
     size_L = (pe * pe) // dual.count
     if g == 1:
         return _count_local_coprime(p, e, dual, size_L)
     # generic path: complex accumulation of exact phase counts
-    b1 = CycInt(*(c % g for c in beta1p.coords()))
-    b2 = CycInt(*(c % g for c in beta2p.coords()))
+    b1, b2 = CycInt(*b1c), CycInt(*b2c)
     acc: dict[int, int] = {}
     for w in dual.iter_all():
         lam = CycInt(w[0], w[1], 0, 0)
         cnt, r = _tsum(pe, g, lam, b1, b2)
         if cnt:
             acc[r] = acc.get(r, 0) + cnt
-    val = sum(c * np.exp(2j * np.pi * r / pe) for r, c in acc.items())
+    val = phase_sum(acc.items(), pe)
     total = val.real * size_L / (pe * pe)
     rounded = round(total)
-    assert abs(total - rounded) < _ROUND_TOL and abs(val.imag) * size_L / (pe * pe) < _ROUND_TOL
+    if not (abs(total - rounded) < _ROUND_TOL
+            and abs(val.imag) * size_L / (pe * pe) < _ROUND_TOL):
+        raise InvariantError(f"pair count {val * size_L / (pe * pe)} mod {p}^{e} "
+                             "is not an integer")
     return int(rounded)
 
 
@@ -255,11 +249,7 @@ def sp_vk(v: tuple[int, int], p: int, k: int, M: int,
     times the sum over primitive a (mod p^k) with a.v = 0 (p^k) of character
     sums over beta1-cosets; each inner sum is evaluated exactly.
     """
-    m = 0
-    Mloc = M
-    while Mloc % p == 0:
-        m += 1
-        Mloc //= p
+    m = vp(M, p)
     if k == 0:
         return p ** (-8.0 * m)
     pk = p ** k
@@ -270,7 +260,7 @@ def sp_vk(v: tuple[int, int], p: int, k: int, M: int,
     # prefactor p^(k + 4(k - eta0) - 9k - 8*max(0, m - k))
     pref_exp = k + 4 * (k - eta0) - 9 * k - 8 * max(0, m - k)
     sol = solve_mod([[v[0] % pk, v[1] % pk]], [0], pk)
-    total = 0.0 + 0.0j
+    terms = []
     for a in sol.iter_all():
         a1, a2 = a
         if a1 % p == 0 and a2 % p == 0:
@@ -278,5 +268,5 @@ def sp_vk(v: tuple[int, int], p: int, k: int, M: int,
         lam = CycInt(a1, a2, 0, 0)
         cnt, r = beta_coset_char_sum(pk, geta, pk // geta, lam, CycInt(0), b1, lam * b2)
         if cnt:
-            total += cnt * np.exp(2j * np.pi * r / pk)
-    return total * float(p) ** pref_exp
+            terms.append((r, cnt))
+    return phase_sum(terms, pk) * float(p) ** pref_exp

@@ -4,6 +4,11 @@ An element is stored as four integer coordinates (c0, c1, c2, c3) in the
 basis 1, z, z^2, z^3 with z^4 = -1.  Python integers are arbitrary precision,
 so there is no overflow mode to select; all ring operations are exact.
 
+This module is the package's one arithmetic core: the multiplication rule
+(``_negacyclic``), the Galois conjugations z -> z^k (``_sigma``) and the two
+archimedean embeddings sigma_1, sigma_3 (``embed``) are written down here
+and nowhere else; every other module calls them.
+
 The trace pairing <a, b> = Tr(a*b / (4*z^3)) equals the z^3-coordinate of
 a*b and is unimodular on the coordinate lattice (its Gram matrix is the
 antidiagonal permutation), which is what makes O_K self-dual and additive
@@ -12,10 +17,13 @@ characters mod q well behaved.
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, NamedTuple
+
+import numpy as np
+
+from . import InvariantError
 
 
 class Vec2Int(NamedTuple):
@@ -28,6 +36,19 @@ def det2(c: Iterable[int], n: Iterable[int]) -> int:
     c1, c2 = c
     n1, n2 = n
     return c1 * n2 - c2 * n1
+
+
+def _negacyclic(c0, c1, c2, c3):
+    """Rows of the matrix of multiplication by c0 + c1 z + c2 z^2 + c3 z^3.
+
+    z^4 = -1 makes it negacyclic: column j is column j - 1 shifted down one
+    place, with the coordinate that wraps round negated.  The coordinates may
+    be Python numbers or equal-length numpy arrays.
+    """
+    return ((c0, -c3, -c2, -c1),
+            (c1, c0, -c3, -c2),
+            (c2, c1, c0, -c3),
+            (c3, c2, c1, c0))
 
 
 @dataclass(frozen=True)
@@ -55,19 +76,10 @@ class CycInt:
         if isinstance(other, int):
             return CycInt(self.c0 * other, self.c1 * other,
                           self.c2 * other, self.c3 * other)
-        a, b = self.coords(), other.coords()
-        # convolution reduced by z^4 = -1
-        c = [0, 0, 0, 0]
-        for i in range(4):
-            if a[i] == 0:
-                continue
-            for j in range(4):
-                k = i + j
-                if k < 4:
-                    c[k] += a[i] * b[j]
-                else:
-                    c[k - 4] -= a[i] * b[j]
-        return CycInt(*c)
+        # coords(a*b) = M(b) a: each coordinate sums a_i b_j over i ascending
+        a0, a1, a2, a3 = self.c0, self.c1, self.c2, self.c3
+        return CycInt(*[r0 * a0 + r1 * a1 + r2 * a2 + r3 * a3
+                        for r0, r1, r2, r3 in _negacyclic(*other.coords())])
 
     __rmul__ = __mul__
 
@@ -76,11 +88,6 @@ class CycInt:
 
     def scalar_divisible(self, m: int) -> bool:
         return all(x % m == 0 for x in self.coords())
-
-    def scalar_div(self, m: int) -> "CycInt":
-        if not self.scalar_divisible(m):
-            raise ValueError(f"{self} not divisible by {m}")
-        return CycInt(*(x // m for x in self.coords()))
 
     def to_json(self) -> list[int]:
         return [self.c0, self.c1, self.c2, self.c3]
@@ -91,11 +98,21 @@ class CycInt:
 
 ZETA = CycInt(0, 1, 0, 0)
 ONE = CycInt(1, 0, 0, 0)
-DELTA_K = CycInt(0, 0, 0, 4)  # generator of the different ideal
 
 
 def mul(a: CycInt, b: CycInt) -> CycInt:
     return a * b
+
+
+def mult_matrix(a: CycInt) -> list[list[int]]:
+    """Matrix of multiplication by a on coordinates: column j is a * z^j."""
+    return [list(row) for row in _negacyclic(*a.coords())]
+
+
+def mult_matrices(coords: np.ndarray) -> np.ndarray:
+    """mult_matrix of every row of an (n, 4) int or float stack, as (n, 4, 4)."""
+    c = np.asarray(coords)
+    return np.stack([np.stack(row, axis=-1) for row in _negacyclic(*c.T)], axis=-2)
 
 
 def norm(a: CycInt) -> int:
@@ -106,8 +123,9 @@ def norm(a: CycInt) -> int:
     """
     if a.is_zero():
         return 0
-    prod = a * _sigma(a, 3) * _sigma(a, 5) * _sigma(a, 7)
-    assert prod.c1 == prod.c2 == prod.c3 == 0, "norm computation left the rationals"
+    prod = a * conj_star(a)
+    if prod.c1 or prod.c2 or prod.c3:
+        raise InvariantError(f"norm of {a} left the rationals: {prod}")
     return prod.c0
 
 
@@ -144,43 +162,75 @@ def ell(a: CycInt) -> Vec2Int:
     return Vec2Int(a.c3, a.c2)
 
 
-# the four archimedean embeddings send z to exp(2*pi*i*k/8), k in 1,3,5,7
-_EMBED_ROOTS = tuple(cmath.exp(2j * cmath.pi * k / 8) for k in (1, 3, 5, 7))
+def ell_matrix(a: CycInt) -> list[list[int]]:
+    """2x4 integer matrix of beta -> ell(a * beta): rows 3, 2 of mult_matrix(a)."""
+    m = mult_matrix(a)
+    return [m[3], m[2]]
+
+
+def ell_matrices(coords: np.ndarray) -> np.ndarray:
+    """ell_matrix of every row of an (n, 4) int or float stack, as (n, 2, 4)."""
+    return mult_matrices(coords)[:, [3, 2], :]
+
+
+# sigma_k sends z to exp(2 pi i k / 8); sigma_5 and sigma_7 are the complex
+# conjugates of sigma_3 and sigma_1, so two embeddings carry all the data
+_W = math.sqrt(0.5)
+
+
+def embed(coords) -> tuple:
+    """(sigma_1, sigma_3) of a 4-sequence of coordinates, or of every row of
+    an (n, 4) stack.  Python complex numbers for one element, complex arrays
+    for a stack."""
+    c = np.asarray(coords, dtype=float)
+    c0, c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
+    u, v = _W * (c1 - c3), _W * (c1 + c3)
+    s1, s3 = (c0 + u) + 1j * (c2 + v), (c0 - u) + 1j * (v - c2)
+    if c.ndim == 1:
+        return complex(s1), complex(s3)
+    return s1, s3
+
+
+def unembed(s1: complex, s3: complex) -> tuple[float, float, float, float]:
+    """Real coordinates with the given sigma_1 and sigma_3 (inverse of embed)."""
+    c0 = (s1.real + s3.real) / 2
+    c2 = (s1.imag - s3.imag) / 2
+    u = (s1.real - s3.real) / 2   # = w (c1 - c3)
+    v = (s1.imag + s3.imag) / 2   # = w (c1 + c3)
+    c1 = (u + v) / (2 * _W)
+    c3 = (v - u) / (2 * _W)
+    return (c0, c1, c2, c3)
 
 
 def embeddings(a: CycInt) -> tuple[complex, complex, complex, complex]:
-    return tuple(
-        a.c0 + a.c1 * z + a.c2 * z * z + a.c3 * z ** 3 for z in _EMBED_ROOTS
-    )
+    """sigma_k(a) for k = 1, 3, 5, 7."""
+    s1, s3 = embed(a.coords())
+    return (s1, s3, s3.conjugate(), s1.conjugate())
+
+
+def embed_abs(coords) -> tuple:
+    """(|sigma_1|, |sigma_3|), as embed takes and returns them.  A stack uses
+    np.hypot, which agrees bit for bit with abs() of one complex number
+    (np.abs of a complex array does not)."""
+    s1, s3 = embed(coords)
+    if isinstance(s1, complex):
+        return abs(s1), abs(s3)
+    return np.hypot(s1.real, s1.imag), np.hypot(s3.real, s3.imag)
+
+
+def sup_norms(coords) -> np.ndarray:
+    """|alpha|_sup for every row of an (n, 4) coordinate stack."""
+    return np.maximum(*embed_abs(coords))
 
 
 def sup_norm(a: CycInt) -> float:
     """|a|_sup = max over archimedean embeddings of |sigma_v(a)|."""
-    return max(abs(z) for z in embeddings(a))
+    return max(embed_abs(a.coords()))
 
 
 def abs_inf(a: CycInt) -> float:
     """|a|_inf = |N(a)|^(1/4)."""
     return abs(norm(a)) ** 0.25
-
-
-def content(a: CycInt) -> int:
-    """Largest rational integer dividing a (0 for a = 0)."""
-    g = 0
-    for x in a.coords():
-        g = gcd(g, abs(x))
-    return g
-
-
-def mult_matrix(a: CycInt) -> list[list[int]]:
-    """Matrix of multiplication by a on coordinates: column j is a * z^j."""
-    cols = []
-    b = CycInt(1)
-    for _ in range(4):
-        cols.append((a * b).coords())
-        b = b * ZETA
-    # cols[j] is the image of z^j; build row-major matrix M with M @ x = coords(a*x)
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
 
 
 @dataclass(frozen=True)
@@ -200,15 +250,14 @@ class CycRes:
     def lift(self) -> CycInt:
         return CycInt(*self.coords)
 
-    def reduce_to(self, q2: int) -> "CycRes":
-        if self.q % q2 != 0:
-            raise ValueError("can only reduce to a divisor of the modulus")
-        return CycRes(self.coords, q2)
+    def _check_modulus(self, other: "CycRes"):
+        if self.q != other.q:
+            raise ValueError(f"residues mod {self.q} and mod {other.q} do not combine")
 
     def __add__(self, other: "CycRes") -> "CycRes":
-        assert self.q == other.q
+        self._check_modulus(other)
         return CycRes(tuple(a + b for a, b in zip(self.coords, other.coords)), self.q)
 
     def __mul__(self, other: "CycRes") -> "CycRes":
-        assert self.q == other.q
+        self._check_modulus(other)
         return CycRes(self.lift() * other.lift(), self.q)

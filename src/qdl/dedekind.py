@@ -22,8 +22,8 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .cyclotomic import CycInt, sup_norm
-from .residues import IntPoly, factorize, is_prime, roots_mod_p, sieve_primes
+from .cyclotomic import sup_norms
+from .residues import IntPoly, divisors, factorize, is_prime, roots_mod_p, sieve_primes
 
 GALOIS_SWEEP_YMAX = 60
 
@@ -50,8 +50,8 @@ def _has_rational_root(f: IntPoly) -> bool:
     a0, a1, a2, a3 = f.a0 // c, f.a1 // c, f.a2 // c, f.a3 // c
     if a0 == 0:
         return True  # root 0
-    for p in _divisors_abs(a0):
-        for q in _divisors_abs(a3):
+    for p in divisors(a0):
+        for q in divisors(a3):
             if gcd(p, q) != 1:
                 continue
             for s in (1, -1):
@@ -59,17 +59,6 @@ def _has_rational_root(f: IntPoly) -> bool:
                 if a3 * (s * p) ** 3 + a2 * (s * p) ** 2 * q + a1 * (s * p) * q ** 2 + a0 * q ** 3 == 0:
                     return True
     return False
-
-
-def _divisors_abs(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return out
 
 
 def classify(f: IntPoly) -> CubicFieldDesc:
@@ -226,17 +215,6 @@ def _squarefree_coprime_mask(qmax: int, bad: set[int]) -> tuple[np.ndarray, np.n
 # non-S3 sweep
 # ---------------------------------------------------------------------------
 
-def _sup_norms_batch(coords: np.ndarray) -> np.ndarray:
-    """|alpha|_sup for an (N, 4) coordinate array."""
-    out = None
-    for k in (1, 3, 5, 7):
-        z = np.exp(2j * np.pi * k / 8)
-        vals = np.abs(coords[:, 0] + coords[:, 1] * z + coords[:, 2] * z ** 2
-                      + coords[:, 3] * z ** 3)
-        out = vals if out is None else np.maximum(out, vals)
-    return out
-
-
 def galois_count_sweep(Y: float) -> int:
     """#{alpha in O_K : |alpha|_sup < Y, Gal(f_alpha) != S3}, exactly.
 
@@ -249,27 +227,23 @@ def galois_count_sweep(Y: float) -> int:
     if Y > GALOIS_SWEEP_YMAX:
         raise ValueError(f"sweep budget capped at Y <= {GALOIS_SWEEP_YMAX}")
     B = int(math.ceil(Y))
-    # --- degenerate: n3 = 0 --------------------------------------------------
-    degen = 0
     grid = np.arange(-B, B + 1)
-    g0, g1, g2 = np.meshgrid(grid, grid, grid, indexing="ij")
-    coords3 = np.stack([g0.ravel(), g1.ravel(), g2.ravel(),
-                        np.zeros(g0.size, dtype=np.int64)], axis=1)
-    degen = int(np.count_nonzero(_sup_norms_batch(coords3) < Y))
+    g0, g1, g2 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
+
+    def box(n3):  # every (n0, n1, n2, n3) with |n0|, |n1|, |n2| <= B
+        return np.stack([g0, g1, g2, np.full(g0.size, n3, dtype=np.int64)], axis=1)
+
+    # --- degenerate: n3 = 0 --------------------------------------------------
+    degen = int(np.count_nonzero(sup_norms(box(0)) < Y))
 
     # --- square discriminant among n3 != 0 (A3 plus some reducible) ----------
     sq_set: set[tuple] = set()
     for n3 in range(-B, B + 1):
         if n3 == 0:
             continue
-        c0, c1, c2 = np.meshgrid(grid, grid, grid, indexing="ij")
-        arr = np.stack([c0.ravel(), c1.ravel(), c2.ravel(),
-                        np.full(c0.size, n3, dtype=np.int64)], axis=1)
-        arr = arr[_sup_norms_batch(arr) < Y]
-        a = arr[:, 3].astype(np.int64)  # x^3 coeff
-        b = arr[:, 2].astype(np.int64)
-        c = arr[:, 1].astype(np.int64)
-        d = arr[:, 0].astype(np.int64)
+        arr = box(n3)
+        arr = arr[sup_norms(arr) < Y]
+        d, c, b, a = arr.T  # a is the x^3 coefficient
         disc = (18 * a * b * c * d - 4 * b ** 3 * d + b ** 2 * c ** 2
                 - 4 * a * c ** 3 - 27 * a ** 2 * d ** 2)
         nonneg = disc >= 0
@@ -286,7 +260,7 @@ def galois_count_sweep(Y: float) -> int:
     # Gauss; coordinates are n3 = b m, n2 = a m + b w, n1 = a w + b u, n0 = a u,
     # so enumerating (a, b, m, w, u) with the box bounds |n_i| <= B catches
     # every reducible cubic at least once and the set dedupes repeats.
-    red_set: set[tuple] = set()
+    cand: set[tuple] = set()
     for b in range(1, B + 1):
         for a in range(-B, B + 1):
             if gcd(a, b) != 1:
@@ -309,10 +283,10 @@ def galois_count_sweep(Y: float) -> int:
                         n0 = a * u
                         if abs(n1) > B or abs(n0) > B:
                             continue
-                        n = (n0, n1, n2, b * m)
-                        if abs(n[3]) <= B and n not in red_set:
-                            if sup_norm(CycInt(*n)) < Y:
-                                red_set.add(n)
+                        if abs(b * m) <= B:
+                            cand.add((n0, n1, n2, b * m))
+    arr = np.array(list(cand), dtype=np.int64).reshape(-1, 4)
+    red_set = {tuple(int(x) for x in row) for row in arr[sup_norms(arr) < Y]}
 
     a3_reducible = sum(1 for t in sq_set if t in red_set)
     # A3 = square disc, irreducible, n3 != 0 (disc = 0 is always reducible)

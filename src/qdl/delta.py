@@ -17,43 +17,40 @@ evaluators enumerate exactly the terms the supports allow.
 from __future__ import annotations
 
 import math
-from math import gcd, isqrt
+from math import gcd
 
-import numpy as np
-
-from .cyclotomic import CycInt, det2
+from .cyclotomic import CycInt
+from .residues import divisors
 from .weights import BumpWeight
 
 
-def _divisors_of(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return sorted(out)
+def q_sum(m: int, d: int, Q: float, omega: BumpWeight) -> float:
+    """sum over q >= 1 of (w(dq/Q) - w(m/(qQ))) [dq | m].
+
+    With d = 1 it is the 1D expansion times Q; with Q = sqrt(DX) and
+    m = det(c, n) it is the inner q-sum of the 2D expansion.
+    """
+    total = 0.0
+    if m == 0:
+        # [dq | 0] always; only the first weight survives (w(0) = 0)
+        qlo = max(1, math.floor(omega.lo * Q / d))
+        qhi = math.ceil(omega.hi * Q / d)
+        for q in range(qlo, qhi + 1):
+            total += omega(d * q / Q)
+    elif m % d == 0:
+        for q in divisors(m // d):
+            total += omega(d * q / Q) - omega(m / (q * Q))
+    return total
 
 
 def delta1d(n: int, Q: float, omega: BumpWeight) -> float:
     """Evaluate the 1D delta expansion at integer n."""
     if Q < 1:
         raise ValueError("Q >= 1 required")
-    total = 0.0
-    if n == 0:
-        # q | 0 for every q; only the first weight survives (omega(0) = 0)
-        qmin = max(1, math.floor(omega.lo * Q))
-        qmax = math.ceil(omega.hi * Q)
-        for q in range(qmin, qmax + 1):
-            total += omega(q / Q)
-        return total / Q
-    for q in _divisors_of(n):
-        total += omega(q / Q) - omega(n / (q * Q))
-    return total / Q
+    return q_sum(n, 1, Q, omega) / Q
 
 
-def _primitive_vectors(radius: float) -> list[tuple[int, int]]:
+def primitive_vectors(radius: float) -> list[tuple[int, int]]:
     out = []
     R = math.ceil(radius)
     for c1 in range(-R, R + 1):
@@ -78,22 +75,12 @@ def delta2d(n: tuple[int, int], D: float, X: float,
     for d in range(1, dmax + 1):
         if n != (0, 0) and (n1 % d or n2 % d):
             continue
-        for (c1, c2) in _primitive_vectors(omega1.hi * D / d):
+        for (c1, c2) in primitive_vectors(omega1.hi * D / d):
             w1 = omega1(math.hypot(c1, c2) * d / D)
             if w1 == 0.0:
                 continue
             det = c1 * n2 - c2 * n1
-            inner = 0.0
-            if det == 0:
-                # [dq | 0] always; second weight w2(0) = 0
-                qlo = max(1, math.floor(omega2.lo * sDX / d))
-                qhi = math.ceil(omega2.hi * sDX / d)
-                for q in range(qlo, qhi + 1):
-                    inner += omega2(d * q / sDX)
-            else:
-                for q in _divisors_of(det // d) if det % d == 0 else []:
-                    inner += omega2(d * q / sDX) - omega2(det / (q * sDX))
-            total += w1 * d / sDX * inner
+            total += w1 * d / sDX * q_sum(det, d, sDX, omega2)
     total /= D * D
     # ---- subtracted single sum --------------------------------------------
     sub = 0.0
@@ -101,7 +88,7 @@ def delta2d(n: tuple[int, int], D: float, X: float,
         pass  # omega1(0) = 0: no contribution
     else:
         nn = math.hypot(n1, n2)
-        for q in _divisors_of(gcd(n1, n2)):
+        for q in divisors(gcd(n1, n2)):
             sub += omega1(nn / (q * D))
     return total - 2.0 / (D * D) * sub
 
@@ -114,7 +101,7 @@ def involution_identity_gap(n: tuple[int, int], D: float, omega1: BumpWeight) ->
         raise ValueError("identity is about nonzero n")
     g = gcd(n1, n2)
     first = 0.0
-    for d in _divisors_of(g):
+    for d in divisors(g):
         m1, m2 = n1 // d, n2 // d
         gm = gcd(m1, m2)
         # primitive c parallel to n/d: +-(n/d)/gm
@@ -124,7 +111,7 @@ def involution_identity_gap(n: tuple[int, int], D: float, omega1: BumpWeight) ->
     first /= 2.0
     second = 0.0
     nn = math.hypot(n1, n2)
-    for q in _divisors_of(g):
+    for q in divisors(g):
         second += omega1(nn / (q * D))
     return first - second
 

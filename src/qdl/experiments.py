@@ -28,15 +28,17 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .cyclotomic import CycInt, Vec2Int, ell, mult_matrix, norm
+from . import InvariantError
+from .cyclotomic import (CycInt, CycRes, conj_star, ell, ell_matrices, ell_matrix, embed,
+                         embed_abs, norm, unembed)
+from .delta import primitive_vectors, q_sum
 from .expsums import CongruenceData
 from .linalg import integer_kernel
-from .residues import rho, sieve_primes
+from .residues import divisors, rho, sieve_primes
 from .singular import sigma_p_product
 from .weights import BumpWeight, make_bump
 
 DIVISOR_SUM_NMAX = 10 ** 10
-ETA_EXPONENT = 236  # eta = 1/236, the saving exponent of the smooth count
 
 
 @dataclass
@@ -44,19 +46,14 @@ class ExperimentConfig:
     X1: float = 12.0
     X2: float = 12.0
     D: float = 3.0
-    L: float = 1.0
     M: int = 1
     beta1p: tuple[int, int, int, int] = (0, 0, 0, 0)
     beta2p: tuple[int, int, int, int] = (0, 0, 0, 0)
     mc_samples: int = 30_000
-    threads: int = 1
     seed: int = 1
-    box_radius: float = 0.35
     prime_cutoff: int = 300
 
     def congruence(self) -> CongruenceData:
-        from .cyclotomic import CycRes
-
         return CongruenceData(self.M, CycRes(self.beta1p, self.M),
                               CycRes(self.beta2p, self.M))
 
@@ -252,29 +249,19 @@ class ArchWeight:
 
     @staticmethod
     def centered(radius: float = 0.35) -> "ArchWeight":
-        b0 = make_bump(1 - radius, 1 + radius, "plain")
-        bs = make_bump(-radius, radius, "plain")
-        return ArchWeight((b0, bs, bs, bs))
+        return ArchWeight.generic(radius, (1.0, 0.0, 0.0, 0.0))
 
     # default support center: a generic point with every archimedean
     # embedding of modulus ~1 and every coordinate away from 0, so the
     # support dodges the rank-2 module (c2 = c3 = 0) and its unit images,
     # whose neighbourhoods carry outsized lattice counts at small scale
     GENERIC_CENTER = (1.0, 0.5, -0.6, 0.3)
-    # the dual center: proportional to the conjugate product, so the centers
-    # multiply into R and the constraint manifold passes through both boxes
-    GENERIC_CENTER_DUAL = (0.826131, -0.029207, 0.374528, -0.452605)
 
     @staticmethod
     def generic(radius: float = 0.25,
                 center: tuple[float, float, float, float] | None = None) -> "ArchWeight":
         c = center or ArchWeight.GENERIC_CENTER
         return ArchWeight(tuple(make_bump(ci - radius, ci + radius, "plain") for ci in c))
-
-    @staticmethod
-    def generic_pair(radius: float = 0.25) -> tuple["ArchWeight", "ArchWeight"]:
-        return (ArchWeight.generic(radius, ArchWeight.GENERIC_CENTER),
-                ArchWeight.generic(radius, ArchWeight.GENERIC_CENTER_DUAL))
 
     @staticmethod
     def rotated_generic_pairs(count: int, radius: float = 0.3
@@ -293,12 +280,12 @@ class ArchWeight:
         for j in range(count):
             t1 = ((j * 0.6180339887498949) % 1.0) * (math.pi / 4)
             t2 = ((j * 0.7548776662466927) % 1.0) * (2 * math.pi)
-            s1, s2 = _embed_pair(base)
-            x0 = _unembed_pair(s1 * complex(math.cos(t1), math.sin(t1)),
-                               s2 * complex(math.cos(t2), math.sin(t2)))
+            s1, s3 = embed(base)
+            x0 = unembed(s1 * complex(math.cos(t1), math.sin(t1)),
+                         s3 * complex(math.cos(t2), math.sin(t2)))
             y0 = _dual_center(x0)
             for cen in (x0, y0):
-                m1, m2 = _embed_pair(cen)
+                m1, m2 = embed(cen)
                 if min(abs(m1), abs(m2)) - (1 + math.sqrt(2)) * radius < 0.02:
                     raise ValueError("support touches the norm-zero locus; "
                                      "shrink the radius")
@@ -318,13 +305,7 @@ class ArchWeight:
         """Vectorized evaluation on an (N, 4) array."""
         out = np.ones(len(pts))
         for i, b in enumerate(self.bumps):
-            x = pts[:, i]
-            u = (x - b.lo) / (b.hi - b.lo)
-            inside = (u > 0) & (u < 1)
-            vals = np.zeros(len(pts))
-            uu = np.clip(u, 1e-12, 1 - 1e-12)
-            vals[inside] = np.exp(-1.0 / (uu[inside] * (1 - uu[inside]))) * b.scale
-            out *= vals
+            out *= b.eval_rows(pts[:, i])
         return out
 
 
@@ -350,86 +331,22 @@ class AnnularWeight:
         h = self.bump.hi
         return [(-h, h)] * 4
 
-    def _sigmas(self, c0, c1, c2, c3):
-        w = math.sqrt(0.5)
-        s1 = complex(c0 + c1 * w + c3 * -w, c1 * w + c2 + c3 * w)
-        s2 = complex(c0 - c1 * w + c3 * w, c1 * w - c2 + c3 * w)
-        return abs(s1), abs(s2)
-
     def __call__(self, c0, c1, c2, c3):
-        a1, a2 = self._sigmas(c0, c1, c2, c3)
-        return self.bump(a1) * self.bump(a2)
+        a1, a3 = embed_abs((c0, c1, c2, c3))
+        return self.bump(a1) * self.bump(a3)
 
     def eval_rows(self, pts: np.ndarray) -> np.ndarray:
-        w = math.sqrt(0.5)
-        c0, c1, c2, c3 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-        a1 = np.hypot(c0 + w * (c1 - c3), c2 + w * (c1 + c3))
-        a2 = np.hypot(c0 - w * (c1 - c3), -c2 + w * (c1 + c3))
-        return _bump_rows(self.bump, a1) * _bump_rows(self.bump, a2)
-
-
-def _bump_rows(b: BumpWeight, x: np.ndarray) -> np.ndarray:
-    u = (x - b.lo) / (b.hi - b.lo)
-    inside = (u > 0) & (u < 1)
-    out = np.zeros(len(x))
-    uu = np.clip(u, 1e-12, 1 - 1e-12)
-    out[inside] = np.exp(-1.0 / (uu[inside] * (1 - uu[inside]))) * b.scale
-    return out
-
-
-def _embed_pair(c) -> tuple[complex, complex]:
-    w = math.sqrt(0.5)
-    s1 = complex(c[0] + w * (c[1] - c[3]), c[2] + w * (c[1] + c[3]))
-    s2 = complex(c[0] - w * (c[1] - c[3]), -c[2] + w * (c[1] + c[3]))
-    return s1, s2
-
-
-def _unembed_pair(s1: complex, s2: complex) -> tuple[float, float, float, float]:
-    w = math.sqrt(0.5)
-    c0 = (s1.real + s2.real) / 2
-    c2 = (s1.imag - s2.imag) / 2
-    a = (s1.real - s2.real) / 2   # = w (c1 - c3)
-    b = (s1.imag + s2.imag) / 2   # = w (c1 + c3)
-    c1 = (a + b) / (2 * w)
-    c3 = (b - a) / (2 * w)
-    return (c0, c1, c2, c3)
-
-
-def _rotate_first_place(center, theta: float):
-    s1, s2 = _embed_pair(center)
-    return _unembed_pair(s1 * complex(math.cos(theta), math.sin(theta)), s2)
+        a1, a3 = embed_abs(pts)
+        return self.bump.eval_rows(a1) * self.bump.eval_rows(a3)
 
 
 def _dual_center(x0):
     """Center y0 with x0 * y0 real and |y0| ~ 1 (proportional to the product
     of the three nontrivial conjugates of x0)."""
-    def sig(a, k):
-        out = [0.0] * 4
-        for i, c in enumerate(a):
-            e = (i * k) % 8
-            if e < 4:
-                out[e] += c
-            else:
-                out[e - 4] -= c
-        return out
-
-    star = _cyc_mult_real(np.array(sig(x0, 3)), np.array(sig(x0, 5)))
-    star = _cyc_mult_real(star, np.array(sig(x0, 7)))
-    Nval = float(_cyc_mult_real(np.array(x0), star)[0])
-    return tuple(float(c) / Nval ** 0.75 for c in star)
-
-
-def _ell_matrix(a: CycInt) -> list[list[int]]:
-    """2x4 integer matrix of beta -> ell(a * beta) on coordinates."""
-    m = mult_matrix(a)
-    return [m[3], m[2]]
-
-
-def _integer_points_in_box(lo_hi: list[tuple[float, float]]):
-    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for (lo, hi) in lo_hi]
-    import itertools
-
-    yield from itertools.product(*ranges)
+    a = CycInt(*x0)
+    star = conj_star(a)
+    Nval = float((a * star).c0)
+    return tuple(float(c) / Nval ** 0.75 for c in star.coords())
 
 
 def _alpha1_candidates(X1: float, phi, cong: CongruenceData, slot: int):
@@ -491,8 +408,9 @@ def theorem2_lhs(cfg: ExperimentConfig, phi1: ArchWeight, phi2: ArchWeight) -> f
     for a1, w1 in _alpha1_candidates(cfg.X1, phi1, cong, 1):
         if norm(a1) == 0:
             continue
-        basis = integer_kernel(_ell_matrix(a1))
-        assert len(basis) == 2
+        basis = integer_kernel(ell_matrix(a1))
+        if len(basis) != 2:
+            raise InvariantError(f"kernel of beta -> ell({a1} beta) has rank {len(basis)}, not 2")
         for x in _lattice_points_in_box(basis, boxes2):
             c = [int(round(v)) for v in x]
             if any((ci - bi) % M for ci, bi in zip(c, b2.coords)):
@@ -538,9 +456,7 @@ def sigma_infinity(phi1: ArchWeight, phi2: ArchWeight, mc_samples: int = 30_000,
     w1 = phi1.eval_rows(samples)
     live = np.nonzero(w1 > 0)[0]
     vals = np.zeros(mc_samples)
-    for idx in live:
-        c = samples[idx]
-        A = _ell_matrix_real(c)
+    for idx, A in zip(live, ell_matrices(samples[live])):  # A: x2 -> ell(x1 x2)
         # orthonormal basis of ker A and the coarea factor
         _, s, Vt = np.linalg.svd(A)
         e1, e2 = Vt[2], Vt[3]
@@ -551,43 +467,6 @@ def sigma_infinity(phi1: ArchWeight, phi2: ArchWeight, mc_samples: int = 30_000,
     mean = float(vals.mean()) * vol
     stderr = float(vals.std(ddof=1)) / math.sqrt(mc_samples) * vol
     return mean, stderr
-
-
-def _ell_matrix_real(c: np.ndarray) -> np.ndarray:
-    """Real 2x4 matrix of x2 -> ell(x1 x2) for x1 with coordinates c."""
-    rows = np.zeros((2, 4))
-    for j in range(4):
-        basis = [0, 0, 0, 0]
-        basis[j] = 1
-        prod = _cyc_mult_real(c, np.array(basis, dtype=float))
-        rows[0, j] = prod[3]
-        rows[1, j] = prod[2]
-    return rows
-
-
-def _cyc_mult_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(4)
-    for i in range(4):
-        if a[i] == 0:
-            continue
-        for j in range(4):
-            k = i + j
-            if k < 4:
-                out[k] += a[i] * b[j]
-            else:
-                out[k - 4] -= a[i] * b[j]
-    return out
-
-
-def theorem2_rhs(cfg: ExperimentConfig, phi1: ArchWeight, phi2: ArchWeight
-                 ) -> tuple[float, float]:
-    """X1^2 X2^2 sigma_inf prod_p sigma_p with a combined error budget."""
-    s_inf, s_err = sigma_infinity(phi1, phi2, cfg.mc_samples, cfg.seed)
-    prod, prod_err = sigma_p_product(cfg.congruence(), cfg.prime_cutoff)
-    scale = cfg.X1 ** 2 * cfg.X2 ** 2
-    value = scale * s_inf * prod
-    budget = scale * (3 * s_err * prod + abs(s_inf) * prod_err)
-    return value, budget
 
 
 def thm2_check(cfg: ExperimentConfig, pair_count: int = 12,
@@ -644,23 +523,21 @@ def prop5_decomposition_check(cfg: ExperimentConfig, phi1: ArchWeight, phi2: Arc
     arr2 = np.array([a.coords() for a, _ in cands2], dtype=np.int64)
     w2s = np.array([w for _, w in cands2])
     for a1, w1 in _alpha1_candidates(cfg.X1, phi1, cong, 1):
-        A = np.array(_ell_matrix(a1), dtype=np.int64)
+        A = np.array(ell_matrix(a1), dtype=np.int64)
         ells = arr2 @ A.T  # rows: (ell1, ell2) of a1*a2
         for (l1, l2), w2 in zip(ells, w2s):
             key = (int(l1), int(l2))
             by_ell[key] = by_ell.get(key, 0.0) + w1 * w2
 
-    from .delta import _divisors_of, _primitive_vectors
-
     direct = by_ell.get((0, 0), 0.0)
     sig1 = 0.0
     sig2 = 0.0
-    prim = _primitive_vectors(omega1.hi * D)
+    prim = primitive_vectors(omega1.hi * D)
     for (n1, n2), w in by_ell.items():
         if (n1, n2) != (0, 0):
             g = gcd(abs(n1), abs(n2))
             nn = math.hypot(n1, n2)
-            for q in _divisors_of(g):
+            for q in divisors(g):
                 sig1 += w * omega1(nn / (q * D))
         for (c1v, c2v) in prim:
             nc = math.hypot(c1v, c2v)
@@ -671,17 +548,7 @@ def prop5_decomposition_check(cfg: ExperimentConfig, phi1: ArchWeight, phi2: Arc
                     continue
                 if (n1 % d) or (n2 % d):
                     continue
-                inner = 0.0
-                if det == 0:
-                    qlo = max(1, int(omega2.lo * sDX / d))
-                    qhi = int(omega2.hi * sDX / d) + 1
-                    for q in range(qlo, qhi + 1):
-                        inner += omega2(d * q / sDX)
-                else:
-                    if det % d == 0:
-                        for q in _divisors_of(det // d):
-                            inner += omega2(d * q / sDX) - omega2(det / (q * sDX))
-                sig2 += w * wd * d / sDX * inner
+                sig2 += w * wd * d / sDX * q_sum(det, d, sDX, omega2)
     sig1 /= D * D
     sig2 /= D * D
     decomposed = -2 * sig1 + sig2

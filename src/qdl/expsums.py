@@ -27,15 +27,15 @@ reduced-modulus variant, which is the one entering the S-hat identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
-from .counts import beta_coset_char_sum, count_pairs
-from .cyclotomic import CycInt, CycRes, Vec2Int
-from .residues import factorize, is_prime as is_prime_fast
+from .counts import beta_coset_char_sum, count_pairs, phase_row, phase_sum
+from .cyclotomic import CycInt, CycRes, Vec2Int, conj_star, ell, ell_matrices, norm
+from .residues import IntPoly, divisors, is_prime, roots_mod_p, vp
 
 # enumeration budgets; configuration constants, not hard limits of the method
 S1_BRUTE_QMAX = 9
@@ -66,9 +66,7 @@ class CongruenceData:
             raise ValueError("ell(beta1' * beta2') != 0 mod M")
 
     def compatible(self) -> bool:
-        prod = self.beta1p.lift() * self.beta2p.lift()
-        l1, l2 = prod.c3, prod.c2
-        return l1 % self.M == 0 and l2 % self.M == 0
+        return all(x % self.M == 0 for x in ell(self.beta1p.lift() * self.beta2p.lift()))
 
     @staticmethod
     def trivial() -> "CongruenceData":
@@ -77,13 +75,9 @@ class CongruenceData:
 
 @dataclass(frozen=True)
 class ExpSumValue:
+    """S1 normalized by q^-3, or S2 by (dq)^-3."""
+
     value: complex
-    modulus: int
-    normalization: str
-
-
-def _phase_value(counts: dict[int, int], q: int) -> complex:
-    return sum(c * np.exp(2j * np.pi * (r % q) / q) for r, c in counts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -99,39 +93,25 @@ def _residue_block(q: int, g: int, b_coords: tuple[int, int, int, int]) -> np.nd
     return grid % q
 
 
-def _mult_rows() -> np.ndarray:
-    # rows r such that coords(a*b) = sum_j M(a) b_j; built from structure consts
-    # (a*b)_k = sum_{i+j=k} a_i b_j - sum_{i+j=k+4} a_i b_j
-    out = np.zeros((4, 4, 4), dtype=np.int64)
-    for i in range(4):
-        for j in range(4):
-            k = i + j
-            if k < 4:
-                out[k, i, j] += 1
-            else:
-                out[k - 4, i, j] -= 1
-    return out
-
-
-_STRUCT = _mult_rows()
-
-
 def _pair_phase_counts(q: int, adm1: np.ndarray, adm2: np.ndarray,
                        idx1: np.ndarray, idx2: np.ndarray,
                        a1: CycInt, a2: CycInt) -> dict[int, int]:
     """Integer counts of e(r/q) phases over an admissible index-pair list."""
-    u = _trace_phase_vec(q, adm1, a1)
-    w = _trace_phase_vec(q, adm2, a2)
+    u = adm1 @ np.array(phase_row(a1), dtype=np.int64) % q
+    w = adm2 @ np.array(phase_row(a2), dtype=np.int64) % q
     tot = (u[idx1] + w[idx2]) % q
     binc = np.bincount(tot, minlength=q)
     return {int(r): int(c) for r, c in enumerate(binc) if c}
 
 
-def _trace_phase_vec(q: int, betas: np.ndarray, a: CycInt) -> np.ndarray:
-    """<a * beta, 1> mod q for each beta row."""
-    row = np.array([sum(_STRUCT[3, i, j] * a.coords()[i] for i in range(4))
-                    for j in range(4)], dtype=np.int64)
-    return (betas @ row) % q
+def _admissible_pairs(adm1: np.ndarray, adm2: np.ndarray, keep) -> tuple:
+    """Index pairs (i, j) with keep(l1, l2) true for ell(adm1[i] * adm2[j])."""
+    idx1_all, idx2_all = [], []
+    for i, A in enumerate(ell_matrices(adm1)):
+        ok = np.nonzero(keep(*(A @ adm2.T)))[0]
+        idx1_all.append(np.full(len(ok), i, dtype=np.int64))
+        idx2_all.append(ok)
+    return np.concatenate(idx1_all), np.concatenate(idx2_all)
 
 
 @lru_cache(maxsize=16)
@@ -139,21 +119,8 @@ def _admissible_pairs_s1(q: int, g: int, b1c, b2c) -> tuple:
     qp = q // g
     adm1 = _residue_block(q, g, b1c)
     adm2 = _residue_block(q, g, b2c)
-    idx1_all, idx2_all = [], []
-    for i, b1 in enumerate(adm1):
-        # coords of b1 * beta2 for all beta2 at once: ell components are rows 3, 2
-        c3 = _ell_components(b1, adm2, 3) % qp
-        c2 = _ell_components(b1, adm2, 2) % qp
-        ok = np.nonzero((c3 == 0) & (c2 == 0))[0]
-        idx1_all.append(np.full(len(ok), i, dtype=np.int64))
-        idx2_all.append(ok)
-    return adm1, adm2, np.concatenate(idx1_all), np.concatenate(idx2_all)
-
-
-def _ell_components(b1: np.ndarray, betas: np.ndarray, k: int) -> np.ndarray:
-    coefs = np.array([sum(int(_STRUCT[k, i, j]) * int(b1[i]) for i in range(4))
-                      for j in range(4)], dtype=np.int64)
-    return betas @ coefs
+    return (adm1, adm2,
+            *_admissible_pairs(adm1, adm2, lambda l1, l2: (l1 % qp == 0) & (l2 % qp == 0)))
 
 
 def s1_brute(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue:
@@ -165,7 +132,7 @@ def s1_brute(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValu
         q, g, tuple(c % g for c in cong.beta1p.coords),
         tuple(c % g for c in cong.beta2p.coords))
     counts = _pair_phase_counts(q, adm1, adm2, idx1, idx2, a1, a2)
-    return ExpSumValue(_phase_value(counts, q) / q ** 3, q, "q^-3")
+    return ExpSumValue(phase_sum(counts.items(), q) / q ** 3)
 
 
 def s2_brute(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
@@ -180,18 +147,11 @@ def s2_brute(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
     Q0 = n // gcd(q, cong.M)
     adm1 = _residue_block(n, g, tuple(cong.beta1p.coords))
     adm2 = _residue_block(n, g, tuple(cong.beta2p.coords))
-    idx1_all, idx2_all = [], []
-    for i, b1 in enumerate(adm1):
-        l1 = _ell_components(b1, adm2, 3)
-        l2 = _ell_components(b1, adm2, 2)
-        ok = np.nonzero((l1 % d == 0) & (l2 % d == 0)
-                        & ((c[0] * l2 - c[1] * l1) % Q0 == 0))[0]
-        idx1_all.append(np.full(len(ok), i, dtype=np.int64))
-        idx2_all.append(ok)
-    counts = _pair_phase_counts(n, adm1, adm2,
-                                np.concatenate(idx1_all), np.concatenate(idx2_all),
-                                a1, a2)
-    return ExpSumValue(_phase_value(counts, n) / (d ** 3 * q ** 3), n, "d^-3 q^-3")
+    idx1, idx2 = _admissible_pairs(
+        adm1, adm2, lambda l1, l2: ((l1 % d == 0) & (l2 % d == 0)
+                                    & ((c[0] * l2 - c[1] * l1) % Q0 == 0)))
+    counts = _pair_phase_counts(n, adm1, adm2, idx1, idx2, a1, a2)
+    return ExpSumValue(phase_sum(counts.items(), n) / (d ** 3 * q ** 3))
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +181,34 @@ def _s1_prime_coprime(a1: CycInt, a2: CycInt, p: int) -> complex:
          + xs * y2 % p * (w[1] % p) - y2 * ys % p * (w[0] % p)) % p
     unit = nval != 0
     r = (-T[unit] * inv[nval[unit]]) % p
-    counts = np.bincount(r, minlength=p).astype(np.int64)
-    total = sum(int(c) * np.exp(2j * np.pi * k / p) for k, c in enumerate(counts) if c)
+    counts = np.bincount(r, minlength=p)
+    terms = [(k, int(c)) for k, c in enumerate(counts) if c]
     # singular lambdas via the generic path
     zero = CycInt(0)
     for i in np.nonzero(~unit)[0]:
         lam = CycInt(int(xs[i]), int(ys[i]), 0, 0)
         cnt, rr = beta_coset_char_sum(p, 1, p, lam, -a2, zero, a1 + lam * zero)
         if cnt:
-            total += cnt * np.exp(2j * np.pi * rr / p)
-    return total * p ** 2 / p ** 3
+            terms.append((rr, cnt))
+    return phase_sum(terms, p) * p ** 2 / p ** 3
+
+
+def _coset_phase_sum(n: int, g: int, cond_mod: int, lams, a1: CycInt, a2: CycInt,
+                     cong: CongruenceData):
+    """sum over lam in lams of psi_n(a2 b2') * sum over {beta = b1' (g),
+    lam beta = -a2 (cond_mod)} of e(<(a1 + lam b2') beta, 1>/n), with the
+    congruence residues b_i' reduced mod g; the core of both fast evaluators."""
+    b1 = CycInt(*(x % g for x in cong.beta1p.coords))
+    b2 = CycInt(*(x % g for x in cong.beta2p.coords))
+    base_r = (a2 * b2).c3  # <a2 b2', 1>
+    rhs = -a2
+    counts: dict[int, int] = {}
+    for lam in lams:
+        cnt, r = beta_coset_char_sum(n, g, cond_mod, lam, rhs, b1, a1 + lam * b2)
+        if cnt:
+            rr = (r + base_r) % n
+            counts[rr] = counts.get(rr, 0) + cnt
+    return phase_sum(counts.items(), n)
 
 
 def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue:
@@ -246,21 +224,11 @@ def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue
         raise BudgetExceeded(f"fast S1 capped at q <= {S1_FAST_QMAX}")
     g = gcd(q, cong.M)
     qp = q // g
-    if g == 1 and q > 2 and is_prime_fast(q):
-        return ExpSumValue(_s1_prime_coprime(a1, a2, q), q, "q^-3")
-    b1 = CycInt(*(x % g for x in cong.beta1p.coords))
-    b2 = CycInt(*(x % g for x in cong.beta2p.coords))
-    base_r = (a2 * b2).c3  # <a2 b2', 1>
-    counts: dict[int, int] = {}
-    for x in range(qp):
-        for y in range(qp):
-            lam = CycInt(g * x, g * y, 0, 0)
-            cnt, r = beta_coset_char_sum(q, g, qp, lam, -a2, b1, a1 + lam * b2)
-            if cnt:
-                rr = (r + base_r) % q
-                counts[rr] = counts.get(rr, 0) + cnt
-    val = _phase_value(counts, q) * qp ** 2 / q ** 3
-    return ExpSumValue(val, q, "q^-3")
+    if g == 1 and q > 2 and is_prime(q):
+        return ExpSumValue(_s1_prime_coprime(a1, a2, q))
+    lams = (CycInt(g * x, g * y, 0, 0) for x in range(qp) for y in range(qp))
+    val = _coset_phase_sum(q, g, qp, lams, a1, a2, cong) * qp ** 2 / q ** 3
+    return ExpSumValue(val)
 
 
 def s2_fast(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
@@ -276,21 +244,12 @@ def s2_fast(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
     gq = gcd(q, cong.M)
     Q0 = n // gq
     npr = n // g2
-    b1 = CycInt(*(x % g2 for x in cong.beta1p.coords))
-    b2 = CycInt(*(x % g2 for x in cong.beta2p.coords))
-    base_r = (a2 * b2).c3
-    counts: dict[int, int] = {}
     cyc_c = CycInt(-c[1], c[0], 0, 0)  # c1*zeta - c2; det(c, ell(a)) = <a, c1 z - c2>
-    for x0 in range(Q0):
-        for x1 in range(d):
-            for y1 in range(d):
-                gam = gq * x0 * cyc_c + q * CycInt(x1, y1, 0, 0)
-                cnt, r = beta_coset_char_sum(n, g2, npr, gam, -a2, b1, a1 + gam * b2)
-                if cnt:
-                    rr = (r + base_r) % n
-                    counts[rr] = counts.get(rr, 0) + cnt
-    val = _phase_value(counts, n) * npr ** 4 / (d ** 3 * q ** 3 * d * d * Q0)
-    return ExpSumValue(val, n, "d^-3 q^-3")
+    gammas = (gq * x0 * cyc_c + q * CycInt(x1, y1, 0, 0)
+              for x0 in range(Q0) for x1 in range(d) for y1 in range(d))
+    val = (_coset_phase_sum(n, g2, npr, gammas, a1, a2, cong)
+           * npr ** 4 / (d ** 3 * q ** 3 * d * d * Q0))
+    return ExpSumValue(val)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +269,7 @@ def n1_tilde(q: int, cong: CongruenceData, ell_modulus: str = "full") -> float:
     def rows(p, e):
         if ell_modulus == "full":
             return []
-        m = min(e, _vp(cong.M, p))
+        m = min(e, vp(cong.M, p))
         s = p ** (e - m)
         return [[s, 0], [0, s]]
 
@@ -326,8 +285,8 @@ def n2_tilde(c: Vec2Int, d: int, q: int, cong: CongruenceData) -> float:
     mq = cong.M
 
     def rows(p, e):
-        h = min(_vp(d, p), e)
-        v0 = _vp(d, p) + _vp(q, p) - min(_vp(q, p), _vp(mq, p))
+        h = min(vp(d, p), e)
+        v0 = vp(d, p) + vp(q, p) - min(vp(q, p), vp(mq, p))
         v0 = min(v0, e)
         return [[p ** h * c[0], p ** h * c[1]],
                 [p ** v0, 0], [0, p ** v0]]
@@ -336,19 +295,9 @@ def n2_tilde(c: Vec2Int, d: int, q: int, cong: CongruenceData) -> float:
     return cnt / (d ** 6 * q ** 7)
 
 
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        v += 1
-        n //= p
-    return v
-
-
 def a_alpha(alpha: CycInt, p: int) -> int:
     """Main term of the prime-modulus S1 evaluation:
     -1 - [p | <alpha,1>] + #{x mod p : f_alpha(x) = 0 (p)}."""
-    from .residues import IntPoly, is_prime, roots_mod_p
-
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n0, n1, n2, n3 = alpha.coords()
@@ -373,13 +322,11 @@ def s2_bound_rhs(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
         raise BudgetExceeded("s2_bound_rhs enumeration capped at dq <= 60")
     M = cong.M
     alpha = a1 * a2
-    Nalpha = _norm(alpha)
+    Nalpha = norm(alpha)
     gq = gcd(q, M)
     cyc_c = CycInt(c[1], -c[0], 0, 0)  # c2 - c1*zeta as in gamma_c
-    from .cyclotomic import conj_star
-
     # the (x, y, z, r) sum does not depend on the divisor tuple; do it once
-    divs_n = _divisors(n)
+    divs_n = divisors(n)
     inner = 0.0
     for x in range(n):
         for y in range(n):
@@ -391,8 +338,8 @@ def s2_bound_rhs(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
                         inner += 1.0 / r
 
     total = 0.0
-    divs_d = _divisors(d)
-    divs_q = _divisors(q)
+    divs_d = divisors(d)
+    divs_q = divisors(q)
     for gp in divs_d:
         for hp in divs_d:
             if d % (gp * hp) != 0:
@@ -409,41 +356,3 @@ def s2_bound_rhs(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
                         continue
                     total += gg ** 4 * hh / n ** 2 * inner
     return total
-
-
-def oracle_sweep(qmax: int = 8, Ms: tuple[int, ...] = (1, 2, 3), n_inputs: int = 50,
-                 seed: int = 0) -> list[tuple]:
-    """Brute-vs-fast S1 sweep rows: (q, M, input_hash, brute, fast, abs_diff).
-
-    The rows serialize to the TSV report; the max |diff| is the headline
-    statistic of the oracle-equivalence criterion.
-    """
-    import hashlib
-
-    rng = np.random.default_rng(seed)
-    rows = []
-    for q in range(1, qmax + 1):
-        for M in Ms:
-            cong = (CongruenceData.trivial() if M == 1 else
-                    CongruenceData(M, CycRes((1, 0, 0, 0), M), CycRes((1, 0, 0, 0), M)))
-            for _ in range(n_inputs):
-                a1 = CycInt(*[int(x) for x in rng.integers(-8, 9, 4)])
-                a2 = CycInt(*[int(x) for x in rng.integers(-8, 9, 4)])
-                h = hashlib.sha256(repr((a1.coords(), a2.coords())).encode()).hexdigest()[:12]
-                vb = s1_brute(a1, a2, q, cong).value
-                vf = s1_fast(a1, a2, q, cong).value
-                rows.append((q, M, h, complex(vb), complex(vf), abs(vb - vf)))
-    return rows
-
-
-def _norm(a: CycInt) -> int:
-    from .cyclotomic import norm
-
-    return norm(a)
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p ** i for d in out for i in range(e + 1)]
-    return sorted(out)

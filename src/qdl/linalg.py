@@ -40,12 +40,11 @@ def smith_normal_form(A: list[list[int]], modulus: int | None = None
         def red(x):
             x %= modulus
             return x - modulus if x > half else x
+
+        S = [[red(x) for x in row] for row in S]
     else:
         def red(x):
             return x
-
-    if modulus is not None:
-        S = [[red(x) for x in row] for row in S]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         S[i] = [red(a - q * b) for a, b in zip(S[i], S[j])]

@@ -15,16 +15,15 @@ exhaustive counts in the test suite.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
-from .cyclotomic import CycInt, ZETA, mult_matrix
+from .cyclotomic import CycInt, mult_matrix
 from .linalg import lattice_index
 
 HENSEL_DEPTH_MAX = 64
-POLY_ROOTS_EXHAUSTIVE_MAX = 10 ** 6
+POLY_ROOTS_EXHAUSTIVE_MAX = 10 ** 4
 
 
 class HenselDepthExceeded(RuntimeError):
@@ -46,31 +45,6 @@ def sieve_primes(limit: int) -> list[int]:
             for m in range(n * n, limit + 1, n):
                 is_comp[m] = 1
     return primes
-
-
-def default_cache_dir() -> str:
-    env = os.environ.get("QDL_CACHE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "qdl")
-
-
-def prime_table(limit: int, cache_dir: str | None = None) -> list[int]:
-    """Primes up to limit, persisted one per line; regenerated when absent."""
-    cache_dir = cache_dir or default_cache_dir()
-    path = os.path.join(cache_dir, "primes.txt")
-    primes: list[int] = []
-    if os.path.exists(path):
-        with open(path) as fh:
-            primes = [int(line) for line in fh if line.strip()]
-    if not primes or primes[-1] < limit:
-        primes = sieve_primes(max(limit, 1000))
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(str(p) for p in primes) + "\n")
-        os.replace(tmp, path)
-    return [p for p in primes if p <= limit]
 
 
 def is_prime(n: int) -> bool:
@@ -117,6 +91,25 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of |n| (n != 0), in increasing order."""
+    out = [1]
+    for p, e in factorize(abs(n)).items():
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def vp(n: int, p: int) -> int:
+    """The exponent of the prime p in n != 0."""
+    if n == 0:
+        raise ValueError("vp(0) is infinite")
+    v = 0
+    while n % p == 0:
+        v += 1
+        n //= p
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +215,7 @@ def _roots_mod_p_large(cs: list[int], p: int) -> list[int]:
     if deg <= 0:
         return []
     # g splits into linear factors; find them (deg <= 3 here)
-    roots = []
-    if deg == 1:
-        roots.append((-g[0] * pow(g[1], -1, p)) % p)
-    else:
-        roots = _split_linear(g, p)
-    return sorted(roots)
+    return sorted(_split_linear(g, p))
 
 
 def _split_linear(g: list[int], p: int) -> list[int]:
@@ -287,7 +275,7 @@ def poly_roots_count(f: IntPoly, p: int, k: int) -> int:
     if k == 0:
         return 1
     q = p ** k
-    if q <= POLY_ROOTS_EXHAUSTIVE_MAX and q <= 10 ** 4:
+    if q <= POLY_ROOTS_EXHAUSTIVE_MAX:
         return sum(1 for x in range(q) if f(x) % q == 0)
     return _roots_count_hensel([f.a0, f.a1, f.a2, f.a3], p, k, 0)
 
@@ -399,10 +387,7 @@ def ideal_norm(gens: list[CycInt]) -> int:
     """
     rows: list[list[int]] = []
     for g in gens:
-        b = CycInt(1)
-        for _ in range(4):
-            rows.append(list((g * b).coords()))
-            b = b * ZETA
+        rows.extend(list(col) for col in zip(*mult_matrix(g)))  # g * z^j
     return lattice_index(rows, 4)
 
 

@@ -31,11 +31,12 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
+from . import InvariantError
 from . import constants as C
 from .counts import count_pairs, sp_vk
-from .cyclotomic import CycInt, Vec2Int
-from .expsums import CongruenceData, n1_tilde, _divisors, _vp
-from .residues import factorize, is_prime, rho_prime_power, sieve_primes
+from .cyclotomic import Vec2Int
+from .expsums import CongruenceData, n1_tilde
+from .residues import divisors, factorize, is_prime, rho_prime_power, sieve_primes, vp
 from .weights import BumpWeight
 
 
@@ -70,7 +71,7 @@ def n1_star(q: int, cong: CongruenceData, ell_modulus: str = "reduced") -> float
     if q % cong.M != 0:
         raise ValueError("n1_star requires M | q")
     total = 0.0
-    for b in _divisors(q // cong.M):
+    for b in divisors(q // cong.M):
         m = _mu(b)
         if m:
             total += m * n1_tilde(q // b, cong, ell_modulus)
@@ -91,7 +92,7 @@ def sigma_p(p: int, cong: CongruenceData, target_tail: float = 1e-6,
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    m = _vp(cong.M, p)
+    m = vp(cong.M, p)
     Cd = C.PROP63_DIFF_C
 
     def tail(k: int) -> float:
@@ -140,7 +141,7 @@ def tau_p(v: Vec2Int, p: int, target_tail: float = 1e-6,
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     cong = cong or CongruenceData.trivial()
-    ell_v = _vp(v[0] ** 4 + v[1] ** 4, p)
+    ell_v = vp(v[0] ** 4 + v[1] ** 4, p)
     Ct = C.SP_VK_TAIL_C
 
     def tail(K: int) -> float:
@@ -153,7 +154,7 @@ def tau_p(v: Vec2Int, p: int, target_tail: float = 1e-6,
             raise ValueError("truncation level exceeds the enumeration budget")
     b1, b2 = cong.beta1p.lift(), cong.beta2p.lift()
     total = sum(sp_vk(tuple(v), p, k, cong.M, b1, b2) for k in range(K + 1))
-    pref = p ** _vp(gcd(v[0], v[1]), p)
+    pref = p ** vp(gcd(v[0], v[1]), p)
     val = total.real / pref if isinstance(total, complex) else total / pref
     return LocalDensityEstimate(p, val, K, tail(K) / pref, "tau_p")
 
@@ -171,9 +172,9 @@ def sigma_p_cd(p: int, c: Vec2Int, d: int, cong: CongruenceData,
         raise ValueError("c must be primitive")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    m = _vp(cong.M, p)
-    h = _vp(d, p)
-    ell = _vp(c[0] ** 4 + c[1] ** 4, p)
+    m = vp(cong.M, p)
+    h = vp(d, p)
+    ell = vp(c[0] ** 4 + c[1] ** 4, p)
     Cd = C.SIGMA_CD_TAIL_C
 
     def tail(K: int) -> float:
@@ -189,7 +190,8 @@ def sigma_p_cd(p: int, c: Vec2Int, d: int, cong: CongruenceData,
     a = min(h, K)
 
     def rows(pp, e):
-        assert pp == p and e == K
+        if (pp, e) != (p, K):
+            raise InvariantError(f"count_pairs asked for rows at {pp}^{e}, not {p}^{K}")
         return [[p ** a * c[0], p ** a * c[1]]]
 
     cnt = count_pairs(p ** K, cong.M, cong.beta1p.lift(), cong.beta2p.lift(), rows)
@@ -207,7 +209,7 @@ def s_vq(v: tuple[int, int], q: int, cong: CongruenceData) -> complex:
     b1, b2 = cong.beta1p.lift(), cong.beta2p.lift()
     out = 1.0 + 0.0j
     for p in sorted(primes):
-        k = _vp(q, p)
+        k = vp(q, p)
         out *= sp_vk((v[0] % max(p ** k, 1), v[1] % max(p ** k, 1)), p, k, cong.M, b1, b2)
     return out
 
@@ -221,7 +223,7 @@ def s_hat(w: Vec2Int, q: int, cong: CongruenceData) -> complex:
     primes = sorted(set(factorize(q)) | (set(factorize(cong.M)) if cong.M > 1 else set()))
     tables = {}
     for p in primes:
-        k = _vp(q, p)
+        k = vp(q, p)
         pk = p ** k
         tab = {}
         for v1 in range(pk):
@@ -304,7 +306,13 @@ def _corrected_local(p: int, s) -> mp.mpf:
 
 
 def _l_char(s, chi) -> mp.mpf:
-    """L(s, chi) for a character mod 8 via Hurwitz zeta."""
+    """L(s, chi) for a nontrivial character mod 8 via Hurwitz zeta.
+
+    Each Hurwitz term has a pole at s = 1 that cancels in the sum, so there
+    the value comes from the digamma form L(1, chi) = -(1/8) sum chi(a) psi(a/8).
+    """
+    if s == 1:
+        return -mp.fsum(chi(a) * mp.digamma(mp.mpf(a) / 8) for a in range(1, 9) if chi(a)) / 8
     return mp.power(8, -s) * mp.fsum(chi(a) * mp.zeta(s, mp.mpf(a) / 8)
                                      for a in range(1, 9) if chi(a))
 
@@ -415,7 +423,8 @@ def _rho_from_spf(q: int, spf: np.ndarray) -> int:
 
 def omega_mellin_at_1(omega: BumpWeight) -> float:
     """int_{x>0} omega(x) dx (the Mellin transform at 1)."""
-    return omega.integral_halfline()
+    val, _ = quad(omega, omega.lo, omega.hi, epsabs=1e-13, limit=200)
+    return val
 
 
 def radial_delta_line_integral(omega: BumpWeight, w: tuple[float, float],

@@ -11,19 +11,21 @@ normalizations:
                          (the omega_2; the 1D expansion needs hat w(0) = 2)
 * plain:                 unscaled (coordinate bumps for the phi weights)
 
-Normalization constants are certified to 1e-12 by adaptive Gauss-Kronrod
-quadrature; a smoothness witness (max |f^(j)| for j <= 3 on a grid) is kept
-for diagnostics.
+Normalization integrals are computed by adaptive Gauss-Kronrod quadrature,
+and make_bump refuses a weight whose reported relative error exceeds
+NORMALIZATION_TOL.  A smoothness witness (max |f^(j)| for j <= 3 on a grid)
+is computed on demand for diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 
-NORMALIZATION_TOL = 1e-12
+NORMALIZATION_TOL = 1e-12  # relative error of a normalization integral
 
 
 def _raw_bump(t: float, lo: float, hi: float) -> float:
@@ -42,9 +44,7 @@ class BumpWeight:
     hi: float
     kind: str
     scale: float
-    norm_constant: float
     norm_error: float
-    smoothness_witness: dict = field(compare=False, hash=False, default=None)
 
     def __call__(self, t: float) -> float:
         if self.kind == "even-halfline-normalized":
@@ -53,14 +53,14 @@ class BumpWeight:
             return 0.0
         return self.scale * _raw_bump(t, self.lo, self.hi)
 
-    @property
-    def even(self) -> bool:
-        return self.kind == "even-halfline-normalized"
-
-    def integral_halfline(self) -> float:
-        """int_{x>0} of the weight (equals the Mellin transform at 1)."""
-        val, _ = quad(self, self.lo, self.hi, epsabs=1e-13, limit=200)
-        return val
+    def eval_rows(self, x: np.ndarray) -> np.ndarray:
+        """Vectorized __call__ on a 1-D array, without the even extension."""
+        u = (x - self.lo) / (self.hi - self.lo)
+        inside = (u > 0) & (u < 1)
+        out = np.zeros(len(x))
+        uu = np.clip(u, 1e-12, 1 - 1e-12)
+        out[inside] = np.exp(-1.0 / (uu[inside] * (1 - uu[inside]))) * self.scale
+        return out
 
 
 def make_bump(lo: float, hi: float, kind: str = "plain") -> BumpWeight:
@@ -72,11 +72,11 @@ def make_bump(lo: float, hi: float, kind: str = "plain") -> BumpWeight:
     raw = lambda t: _raw_bump(t, lo, hi)
     if kind == "radial-normalized":
         # int_{R^2} w(|x|) dx = 2*pi*int r w(r) dr = 1
-        val, err = quad(lambda r: r * raw(r), lo, hi, epsabs=1e-14, limit=200)
+        val, err = quad(lambda r: r * raw(r), lo, hi, epsabs=0, epsrel=1e-13, limit=200)
         scale = 1.0 / (2 * math.pi * val)
         norm_err = err / val
     elif kind == "even-halfline-normalized":
-        val, err = quad(raw, lo, hi, epsabs=1e-14, limit=200)
+        val, err = quad(raw, lo, hi, epsabs=0, epsrel=1e-13, limit=200)
         scale = 1.0 / val
         norm_err = err / val
     elif kind == "plain":
@@ -85,12 +85,16 @@ def make_bump(lo: float, hi: float, kind: str = "plain") -> BumpWeight:
         scale, norm_err = math.exp(4.0), 0.0
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    witness = _smoothness_witness(raw, lo, hi, scale)
-    return BumpWeight(lo, hi, kind, scale, scale, norm_err, witness)
+    if norm_err > NORMALIZATION_TOL:
+        raise ValueError(f"{kind} normalization on ({lo}, {hi}) is only certified to "
+                         f"{norm_err:.2g} > {NORMALIZATION_TOL:g}")
+    return BumpWeight(lo, hi, kind, scale, norm_err)
 
 
-def _smoothness_witness(raw, lo, hi, scale, npts: int = 400) -> dict:
+def smoothness_witness(bump: BumpWeight, npts: int = 400) -> dict:
     """max |f^(j)| for j <= 3 on a grid, by central differences."""
+    lo, hi, scale = bump.lo, bump.hi, bump.scale
+    raw = lambda t: _raw_bump(t, lo, hi)
     h = (hi - lo) / (npts * 8)
     out = {}
     for j in range(4):
@@ -108,18 +112,3 @@ def _smoothness_witness(raw, lo, hi, scale, npts: int = 400) -> dict:
             m = max(m, abs(v) * scale)
         out[j] = m
     return out
-
-
-def coordinate_box_weight(centers, radius, lo_margin: float = 0.0):
-    """Product of four coordinate bumps around the given center point.
-
-    Returns (callable on 4 coordinates, list of (lo, hi) per coordinate).
-    Used as the archimedean weight on one copy of K_infty.
-    """
-    bumps = [make_bump(c - radius, c + radius, "plain") for c in centers]
-    boxes = [(c - radius, c + radius) for c in centers]
-
-    def w(x0, x1, x2, x3):
-        return bumps[0](x0) * bumps[1](x1) * bumps[2](x2) * bumps[3](x3)
-
-    return w, boxes

@@ -1,6 +1,11 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import qdl
+from qdl import InvariantError, cli
 
 
 def run_cli(*args):
@@ -55,3 +60,32 @@ def test_level_dist_subcommand():
     assert r.returncode == 0
     rep = json.loads(r.stdout)
     assert "signed_sum" in rep and "absolute_sum" in rep
+
+
+def test_delta2d_check_stdout_is_byte_stable():
+    runs = [run_cli("delta2d-check", "--X", "100", "--D", "10", "--grid", "5")
+            for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert set(json.loads(runs[0].stdout)) == {"D", "X", "max_error", "term_count"}
+
+
+def test_verify_all_finds_the_suite_from_any_directory(tmp_path):
+    """The acceptance suite path is resolved from the package location; the
+    suite itself is not run."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qdl.__file__)))
+    suite = Path(__file__).with_name("test_acceptance.py")
+    code = ("import os; from qdl import cli; "
+            f"print(os.path.samefile(cli.ACCEPTANCE_TESTS, {str(suite)!r}))")
+    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "True"
+
+
+def test_invariant_error_exits_2(monkeypatch):
+    def broken(args):
+        raise InvariantError("broken invariant")
+
+    monkeypatch.setattr(cli, "dispatch", broken)
+    assert cli.main(["rho", "--q", "5"]) == 2

@@ -1,12 +1,15 @@
 import cmath
 import itertools
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdl.cyclotomic import (CycInt, CycRes, GRAM, ONE, ZETA, abs_inf, conj_star,
-                            det2, ell, embeddings, mul, mult_matrix, norm,
-                            sup_norm, trace_pair)
+                            det2, ell, embed, embeddings, mul, mult_matrices, mult_matrix,
+                            norm, sup_norm, sup_norms, trace_pair, unembed)
 
 coords = st.tuples(*[st.integers(-50, 50)] * 4)
 
@@ -105,6 +108,7 @@ def test_conj_star_identity(c):
     if a.is_zero():
         return
     assert a * conj_star(a) == CycInt(norm(a))
+    assert conj_star(a) * a == CycInt(norm(a))
 
 
 def test_embeddings_and_norms():
@@ -138,6 +142,70 @@ def test_mult_matrix_consistency():
     M = mult_matrix(a)
     prod = [sum(M[i][j] * b.coords()[j] for j in range(4)) for i in range(4)]
     assert tuple(prod) == (a * b).coords()
+
+
+def _random_elements(seed, n=200, bound=1000):
+    rng = np.random.default_rng(seed)
+    return [CycInt(*[int(x) for x in row]) for row in rng.integers(-bound, bound + 1, (n, 4))]
+
+
+def test_embeddings_multiplicative():
+    """sigma_k(a b) = sigma_k(a) sigma_k(b) for k = 1, 3: the float embeddings
+    checked against the exact product rule."""
+    for a, b in zip(_random_elements(11), _random_elements(12)):
+        for za, zb, zab in zip(embed(a.coords()), embed(b.coords()), embed((a * b).coords())):
+            assert abs(zab - za * zb) <= 1e-9 * abs(za * zb)
+
+
+def test_mult_matrices_match_mult_matrix():
+    elems = _random_elements(13)
+    stack = np.array([a.coords() for a in elems], dtype=np.int64)
+    mats = mult_matrices(stack)
+    assert mats.shape == (len(elems), 4, 4) and mats.dtype == np.int64
+    for a, m in zip(elems, mats):
+        assert m.tolist() == mult_matrix(a)
+    # the float twin gives the same matrices
+    assert (mult_matrices(stack.astype(float)) == mats).all()
+
+
+def test_embed_stack_and_inverse():
+    elems = _random_elements(15, n=50)
+    stack = np.array([a.coords() for a in elems])
+    s1, s3 = embed(stack)
+    for a, z1, z3, sup in zip(elems, s1, s3, sup_norms(stack)):
+        assert (z1, z3) == embed(a.coords())
+        assert sup == sup_norm(a)
+        assert np.allclose(unembed(z1, z3), a.coords(), rtol=0, atol=1e-9)
+    # embeddings: sigma_5, sigma_7 are the conjugates of sigma_3, sigma_1
+    roots = [cmath.exp(2j * cmath.pi * k / 8) for k in (1, 3, 5, 7)]
+    for a in elems:
+        c = a.coords()
+        for z, e in zip(roots, embeddings(a)):
+            direct = c[0] + c[1] * z + c[2] * z * z + c[3] * z ** 3
+            assert abs(e - direct) <= 1e-9 * max(1.0, abs(direct))
+
+
+def test_cycres_moduli_must_match():
+    a, b = CycRes((1, 0, 0, 0), 2), CycRes((1, 0, 0, 0), 3)
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a * b
+
+
+def test_checks_survive_optimized_mode():
+    """Under python -O the asserts are gone; the explicit checks must remain."""
+    code = (
+        "import qdl.cyclotomic as c\n"
+        "try:\n"
+        "    c.CycRes((1, 0, 0, 0), 2) + c.CycRes((1, 0, 0, 0), 3)\n"
+        "except ValueError:\n"
+        "    print('ValueError')\n"
+        "print(c.norm(c.CycInt(3, 2)))\n"
+    )
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["ValueError", "97"]
 
 
 def test_det2():

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from qdl import constants as C
 from qdl.delta import delta1d, delta2d, involution_identity_gap, poisson_check
-from qdl.weights import BumpWeight, make_bump
+from qdl.weights import NORMALIZATION_TOL, BumpWeight, make_bump, smoothness_witness
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +43,25 @@ def test_make_bump_validation():
 
 
 def test_smoothness_witness(w1):
-    assert set(w1.smoothness_witness) == {0, 1, 2, 3}
-    assert all(v < 1e6 for v in w1.smoothness_witness.values())
+    witness = smoothness_witness(w1)
+    assert set(witness) == {0, 1, 2, 3}
+    assert all(v < 1e6 for v in witness.values())
+
+
+@pytest.mark.parametrize("support, kind", [(C.OMEGA1_SUPPORT, "radial-normalized"),
+                                           (C.OMEGA2_SUPPORT, "even-halfline-normalized")])
+def test_normalization_certified(support, kind):
+    """The reported relative quadrature error of both delta-method weights
+    meets NORMALIZATION_TOL, and an independent quadrature of the normalized
+    integral agrees with 1 to that tolerance (plus its own error)."""
+    w = make_bump(*support, kind)
+    assert w.norm_error <= NORMALIZATION_TOL
+    if kind == "radial-normalized":
+        v, err = quad(lambda r: 2 * math.pi * r * w(r), w.lo, w.hi, epsabs=0, epsrel=1e-13,
+                      limit=400, points=[1.0])
+    else:
+        v, err = quad(w, w.lo, w.hi, epsabs=0, epsrel=1e-13, limit=400, points=[1.0])
+    assert abs(v - 1) <= NORMALIZATION_TOL + err
 
 
 def test_delta1d_identity(w2):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from qdl.cyclotomic import CycInt
-from qdl.residues import (HenselDepthExceeded, IntPoly, factorize, ideal_norm,
-                          is_prime, norm_gcd_check, poly_roots_count, prime_table,
-                          rho, rho_exhaustive, rho_prime_power, roots_mod_p,
-                          sieve_primes)
+from qdl.residues import (HenselDepthExceeded, IntPoly, divisors, factorize, ideal_norm,
+                          is_prime, norm_gcd_check, poly_roots_count, rho,
+                          rho_exhaustive, rho_prime_power, roots_mod_p, sieve_primes, vp)
 
 
 def test_intpoly_basics():
@@ -147,13 +146,14 @@ def test_lemma_norm_sum_bound():
                 assert ideal_norm([CycInt(x, 1), CycInt(q)]) == math.gcd(x ** 4 + 1, q)
 
 
-def test_prime_table_roundtrip(tmp_path):
-    primes = prime_table(100, cache_dir=str(tmp_path))
-    assert primes[:5] == [2, 3, 5, 7, 11] and primes[-1] == 97
-    # persisted and reloadable
-    again = prime_table(50, cache_dir=str(tmp_path))
-    assert again[-1] == 47
-    assert (tmp_path / "primes.txt").exists()
+def test_divisors_and_vp():
+    for n in list(range(1, 200)) + [-12, 360, 2 ** 10 * 3 ** 4]:
+        assert divisors(n) == [d for d in range(1, abs(n) + 1) if n % d == 0]
+        for p in (2, 3, 5, 7):
+            assert n % p ** vp(n, p) == 0
+            assert n % p ** (vp(n, p) + 1) != 0
+    with pytest.raises(ValueError):
+        vp(0, 3)
 
 
 def test_is_prime_and_factorize():
