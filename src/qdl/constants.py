@@ -31,3 +31,8 @@ SP_VK_TAIL_C = 8.0
 
 # |sigma_p(c,d) truncation step k -> k+1| <= C (h+k+1) p^(4m-2h-3k-3+ell)
 SIGMA_CD_TAIL_C = 8.0
+
+# |log G_p(1)| <= C / p^2 and |(log G_p)'(1)| <= C log p / p^2 for the corrected
+# Euler factors G_p of sum rho(q) q^(-s-1) (singular.c_constants tail)
+LOG_G_TAIL_C = 7.0            # calibrated max ~ 6.0 over p <= 1e6
+DLOG_G_TAIL_C = 7.0           # calibrated max ~ 6.0 over p <= 1e6

@@ -152,8 +152,7 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     """Roots of f mod p.  Scans for small p, uses gcd with x^p - x for large p."""
     cs = [f.a0 % p, f.a1 % p, f.a2 % p, f.a3 % p]
     if p <= 3000:
-        return [x for x in range(p) if ((cs[3] * x + cs[2]) * x + cs[1]) * x + cs[0] == 0 or
-                (((cs[3] * x + cs[2]) * x + cs[1]) * x + cs[0]) % p == 0]
+        return [x for x in range(p) if (((cs[3] * x + cs[2]) * x + cs[1]) * x + cs[0]) % p == 0]
     return _roots_mod_p_large(cs, p)
 
 

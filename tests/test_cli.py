@@ -29,6 +29,8 @@ def test_usage_errors():
     assert run_cli("rho", "--q", "0").returncode == 1
     assert run_cli("no-such-command").returncode == 1
     assert run_cli("divisor-sum", "--N", "100000000000").returncode == 1
+    r = run_cli("singular-series", "--method", "euler-product", "--prime-cutoff", "1")
+    assert r.returncode == 1 and r.stderr.startswith("error:"), r.stderr
 
 
 def test_s1_subcommand_brute_fast():
@@ -37,6 +39,15 @@ def test_s1_subcommand_brute_fast():
     assert r.returncode == 0
     rep = json.loads(r.stdout)
     assert rep["diff_unnormalized"] < 1e-8
+
+
+def test_singular_series_euler_product_is_byte_stable():
+    runs = [run_cli("singular-series", "--method", "euler-product", "--prime-cutoff", "1000")
+            for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert set(json.loads(runs[0].stdout)["euler_product"]) == {
+        "c_0", "c_0_error", "c_minus1", "c_minus1_error", "method", "prime_cutoff"}
 
 
 def test_json_determinism(tmp_path):

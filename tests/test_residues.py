@@ -39,8 +39,9 @@ def test_poly_roots_hensel_vs_exhaustive():
 
 def test_roots_mod_p_large_prime():
     f = IntPoly(-1, -1, 0, 1)
-    # the gcd-with-x^p - x path: cross-check against a direct scan
-    for p in (3001, 4999, 10007):
+    # the scan (p <= 3000, three roots at 2969) and the gcd-with-x^p - x path,
+    # against a direct scan
+    for p in (2969, 3001, 4999, 10007):
         got = roots_mod_p(f, p)
         want = [x for x in range(p) if f(x) % p == 0]
         assert got == want

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from qdl.cyclotomic import CycInt, CycRes, Vec2Int
 from qdl.expsums import CongruenceData, n1_tilde
-from qdl.singular import (c_constants, kappa, kappa_montecarlo, kappa_polar,
+from qdl.residues import rho_prime_power, sieve_primes
+from qdl.singular import (_l_values_at_1, _log_local_factors, c_constants, kappa,
+                          kappa_montecarlo, kappa_polar,
                           lemma94_check, n1_star, omega_mellin_at_1,
                           radial_delta_line_integral, s_hat, s_vq, sigma_p,
                           sigma_p_cd, sigma_p_product, tau_p)
@@ -125,14 +128,12 @@ def test_kappa_three_ways():
 
 
 def test_l_function_closed_forms():
-    # the three closed forms against direct partial sums
-    from qdl.singular import _chi_8, _chi_m4, _chi_m8, _l_char
-
+    # the three closed forms against the cached L(1, chi)
     with mp.workdps(25):
-        for chi, closed in ((_chi_m4, mp.pi / 4),
-                            (_chi_8, mp.log(1 + mp.sqrt(2)) / mp.sqrt(2)),
-                            (_chi_m8, mp.pi / (2 * mp.sqrt(2)))):
-            assert abs(_l_char(mp.mpf(1), chi) - closed) < mp.mpf(10) ** -15
+        for (l1, _), closed in zip(_l_values_at_1(),
+                                   (mp.pi / 4, mp.log(1 + mp.sqrt(2)) / mp.sqrt(2),
+                                    mp.pi / (2 * mp.sqrt(2)))):
+            assert abs(l1 - closed) < mp.mpf(10) ** -15
 
 
 @pytest.mark.slow
@@ -146,18 +147,133 @@ def test_c_constants_cross_validation():
     # Laurent-vs-partial-sum c_0: these coincide for this series (same
     # constant as in sum 1/n = log N + gamma); verified within error bars
     assert abs(ep["c_0"] - ps["c_0"]) <= ep["c_0_error"] + ps["c_0_error"], (ep, ps)
-    # internal consistency of the euler-product route
-    assert abs(ep["c_minus1"] - ep["c_minus1_from_difference"]) < 1e-4
+    # the euler-product c_-1 against the series-summed oracle product
+    with mp.workdps(30):
+        assert abs(ep["c_minus1"] - _series_product(50_000, 1)) < 1e-4
 
 
 def test_local_factor_sanity_p3():
-    # sum_k rho(3^k)/3^(2k) from rho() agrees with the closed geometric form
-    from qdl.residues import rho_prime_power
-    from qdl.singular import _local_factor_F
+    # sum_k rho(3^k)/3^(2k) from rho() agrees with the closed rational form,
+    # which is exactly 3/2; the terms decay like 3^(-k/2), so 200 of them
+    direct = sum(rho_prime_power(3, k) / 3 ** (2 * k) for k in range(200))
+    assert _closed_F(3, Fraction(1, 9)) == Fraction(3, 2)
+    assert abs(float(_closed_F(3, Fraction(1, 9))) - direct) < 1e-12
 
-    direct = sum(rho_prime_power(3, k) / 3 ** (2 * k) for k in range(40))
-    with mp.workdps(25):
-        assert abs(float(_local_factor_F(3, 1)) - direct) < 1e-12
+
+# ---------------------------------------------------------------------------
+# the series-summed Euler product: the oracle of the closed form in c_constants
+# ---------------------------------------------------------------------------
+
+def _chis(n):
+    """chi_-4(n), chi_8(n), chi_-8(n)."""
+    if n % 2 == 0:
+        return (0, 0, 0)
+    return (1 if n % 4 == 1 else -1, 1 if n % 8 in (1, 7) else -1, 1 if n % 8 in (1, 3) else -1)
+
+
+def _series_F(p, s):
+    """F_p(s) = sum_k rho(p^k) p^(-k(1+s)), summed to convergence."""
+    x = mp.power(p, -(1 + s))
+    total, term, k = mp.mpf(1), mp.mpf(1), 1
+    while abs(term) > mp.mpf(10) ** (-mp.mp.dps - 2):
+        term = rho_prime_power(p, k) * x ** k
+        total += term
+        k += 1
+    return total
+
+
+def _closed_F(p, x):
+    """F_p as the rational function of x = p^(-1-s); exact on Fractions."""
+    extra = x if p == 2 else 4 * (p - 1) * x / (1 - p * x) if p % 8 == 1 else 0
+    return (1 + x + p ** 2 * x ** 2 + p ** 4 * x ** 3 + extra) / (1 - p ** 6 * x ** 4)
+
+
+def _series_G(p, s):
+    """G_p(s) = (1 - p^-s) F_p(s) prod_chi (1 - chi(p) p^-s)."""
+    g = (1 - mp.power(p, -s)) * _series_F(p, s)
+    for c in _chis(p):
+        g *= 1 - c * mp.power(p, -s)
+    return g
+
+
+def _series_product(P, s):
+    """(s - 1) zeta(s) prod_chi L(s, chi) prod_{p <= P} G_p(s); at s = 1 the
+    L-values are the closed forms, elsewhere Hurwitz sums."""
+    if s == 1:
+        val = mp.pi / 4 * mp.log(1 + mp.sqrt(2)) / mp.sqrt(2) * mp.pi / (2 * mp.sqrt(2))
+    else:
+        val = (s - 1) * mp.zeta(s)
+        for i in range(3):
+            val *= mp.power(8, -s) * mp.fsum(_chis(a)[i] * mp.zeta(s, mp.mpf(a) / 8)
+                                             for a in (1, 3, 5, 7))
+    for p in sieve_primes(P):
+        val *= _series_G(p, s)
+    return val
+
+
+def test_local_factor_closed_form_matches_series():
+    with mp.workdps(30):
+        for p in sieve_primes(400):
+            for s in (mp.mpf("0.9"), mp.mpf(1), mp.mpf("1.3")):
+                closed = _closed_F(p, mp.power(p, -1 - s))
+                assert abs(closed / _series_F(p, s) - 1) < mp.mpf(10) ** -25, (p, s)
+
+
+def test_log_local_factors_match_series():
+    # float64 evaluation of terms of size O(1/p): absolute error ~ 1e-16
+    primes = sieve_primes(400)
+    log_g, dlog_g = _log_local_factors(np.array(primes))
+    with mp.workdps(30):
+        for p, lg, dlg in zip(primes, log_g, dlog_g):
+            assert abs(lg - mp.log(_series_G(p, mp.mpf(1)))) < 1e-15, p
+            assert abs(dlg - mp.diff(lambda s: mp.log(_series_G(p, s)), 1)) < 1e-14, p
+
+
+def test_c_constants_match_series_oracle():
+    ep = c_constants("euler-product", 100)
+    with mp.workdps(30):
+        h = mp.mpf(10) ** -5
+        c0 = (_series_product(100, 1 + h) - _series_product(100, 1 - h)) / (2 * h)
+        c_minus1 = _series_product(100, 1)
+    assert abs(ep["c_minus1"] - c_minus1) < 1e-14 * c_minus1
+    assert abs(ep["c_0"] - c0) < 1e-8
+
+
+def test_l_values_match_stieltjes_route():
+    # zeta(s, a) = 1/(s-1) + gamma_0(a) - gamma_1(a) (s-1) + ..., and the poles
+    # cancel in L(s, chi) = 8^-s sum_a chi(a) zeta(s, a/8)
+    with mp.workdps(30):
+        for i, (l1, d1) in enumerate(_l_values_at_1()):
+            g0, g1 = (mp.fsum(_chis(a)[i] * mp.stieltjes(n, mp.mpf(a) / 8) for a in (1, 3, 5, 7))
+                      for n in (0, 1))
+            assert abs(l1 - g0 / 8) < 1e-15
+            assert abs(d1 - (-mp.log(8) * g0 - g1) / 8) < 1e-15
+
+
+def test_log_local_factor_tail_constants():
+    from qdl import constants as C
+
+    p = np.array(sieve_primes(10 ** 6))
+    pf = p.astype(float)
+    log_g, dlog_g = _log_local_factors(p)
+    assert np.all(np.abs(log_g) * pf ** 2 <= C.LOG_G_TAIL_C)
+    assert np.all(np.abs(dlog_g) * pf ** 2 <= C.DLOG_G_TAIL_C * np.log(pf))
+
+
+def test_c_constants_errors_cover_the_tail():
+    deep = c_constants("euler-product", 2 * 10 ** 6)
+    for P in (50, 100, 409, 1000, 10 ** 5):
+        r = c_constants("euler-product", P)
+        assert abs(r["c_minus1"] - deep["c_minus1"]) <= r["c_minus1_error"], (P, r)
+        assert abs(r["c_0"] - deep["c_0"]) <= r["c_0_error"], (P, r)
+
+
+def test_c_constants_return_python_floats():
+    for method, budget, cutoff in (("euler-product", 1000, "prime_cutoff"),
+                                   ("partial-sum-fit", 20_000, "Q")):
+        r = c_constants(method, budget)
+        assert type(r.pop(cutoff)) is int and r.pop("method") == method
+        assert all(type(v) is float for v in r.values()), r
 
 
 def test_sigma_p_product_stabilizes():
