@@ -1,23 +1,28 @@
 """Shared counting engine for residue-pair sums over O_K = Z[zeta_8].
 
-Everything the exponential sums and local densities need reduces to two
-primitives over a modulus n:
+Everything the exponential sums and local densities need reduces to one
+primitive over a modulus n, summed over a family of multipliers lam:
 
 * ``beta_coset_char_sum``: the exact value of
-      sum over beta in O_K/n with beta = b0 (g) and lam*beta = c0 (n/g)
+      sum over beta in O_K/n with beta = b0 (g) and lam*beta = rhs (n/g)
       of e(<mu*beta, 1>/n)
-  returned as (count, r) with value count * e(r/n), computed by solving the
-  linear congruence system (Smith form) and testing the character on the
-  homogeneous solution subgroup.
+  returned as (count, r) with value count * e(r/n).  Writing
+  beta = b0 + g*gamma turns the coset into the solutions gamma mod n/g of
+  g*lam*gamma = rhs - lam*b0 (mod n/g), a 4-row Smith-form solve, and the
+  character is tested on their homogeneous subgroup.
+* ``coset_phase_counts``: that sum over a family of lam, accumulated as
+  exact integer counts per phase class r mod n.  S1, S2 (qdl.expsums), the
+  generic pair count and S_p(v; k) all call it.
 
-* ``count_pairs``: the exact number of pairs (beta1, beta2) in (O_K/n)^2
-  with beta_i = beta_i' (mod gcd(n, M)) and ell(beta1*beta2) in a prescribed
-  subgroup L of (Z/n)^2.  The two ell-coordinates are detected by additive
-  characters, which collapses the pair count to a sum of multiplication-kernel
-  sizes over the dual subgroup of L.  At primes coprime to M the kernel sizes
-  have the closed form p^(4s) * gcd(x'^4 + y'^4, p^(e-s)) (unique degree-one
-  prime above p on x + y*zeta), which is evaluated vectorized; at the finitely
-  many primes dividing M the generic character-sum path is used.
+``count_pairs`` counts the pairs (beta1, beta2) in (O_K/n)^2 with
+beta_i = beta_i' (mod gcd(n, M)) and ell(beta1*beta2) in a prescribed
+subgroup L of (Z/n)^2.  The two ell-coordinates are detected by additive
+characters, which collapses the pair count to a sum of multiplication-kernel
+sizes over the dual subgroup of L.  At primes coprime to M the kernel sizes
+have the closed form p^(4s) * gcd(x'^4 + y'^4, p^(e-s)) (unique degree-one
+prime above p on x + y*zeta), which is evaluated vectorized; at the finitely
+many primes dividing M the phase counts are reduced exactly modulo the
+cyclotomic polynomial (``exact_phase_sum``).
 """
 
 from __future__ import annotations
@@ -28,14 +33,11 @@ from math import gcd
 import numpy as np
 
 from . import InvariantError
-from .cyclotomic import CycInt, mult_matrix
+from .cyclotomic import CycInt, ell_matrix, mult_matrix
 from .linalg import char_sum_over_solutions, solve_mod
 from .residues import factorize, vp
 
-# counts stay well inside float53 exactness only for small totals; rounding
-# slack is checked against this margin when a complex phase sum must land
-# on an integer.
-_ROUND_TOL = 0.2
+ZERO = CycInt(0)
 
 
 def phase_sum(terms, n: int):
@@ -43,35 +45,67 @@ def phase_sum(terms, n: int):
     return sum(c * np.exp(2j * np.pi * r / n) for r, c in terms)
 
 
-def phase_row(mu: CycInt) -> list[int]:
-    """Row of the linear functional beta -> <mu*beta, 1> on coordinates."""
-    m = mult_matrix(mu)
-    return m[3]
+def exact_phase_sum(counts: dict[int, int], p: int, e: int) -> int:
+    """sum of c * x^r over counts {r: c}, x a primitive p^e-th root of unity,
+    when that sum is an integer.
 
-
-def beta_coset_char_sum(n: int, g: int, cond_mod: int, lam: CycInt, rhs: CycInt,
-                        b0: CycInt, mu: CycInt) -> tuple[int, int]:
-    """(count, r) with sum = count * e(r/n) over the beta-coset.
-
-    The coset is {beta mod n : beta = b0 (mod g), lam*beta = rhs (mod cond_mod)}
-    with g | n and cond_mod | n; the summand is e(<mu*beta, 1>/n).
+    Reduces the polynomial modulo Phi_{p^e}(x) = sum_{j<p} x^(j p^(e-1)) in
+    integers: x^((p-1) p^(e-1) + s) = -sum_{j<p-1} x^(j p^(e-1) + s).  The
+    remainder has degree < phi(p^e), and 1, x, ..., x^(phi(p^e)-1) are
+    linearly independent, so the sum is an integer exactly when the remainder
+    is a constant.  Raises InvariantError otherwise.
     """
-    rows: list[list[int]] = []
-    b: list[int] = []
-    sc = n // g
-    # beta = b0 (mod g)  <=>  (n/g) * beta = (n/g) * b0 (mod n)
-    for i in range(4):
-        row = [0, 0, 0, 0]
-        row[i] = sc
-        rows.append(row)
-        b.append(sc * b0.coords()[i])
-    sc2 = n // cond_mod
-    ml = mult_matrix(lam)
-    for i in range(4):
-        rows.append([sc2 * ml[i][j] for j in range(4)])
-        b.append(sc2 * rhs.coords()[i])
-    sol = solve_mod(rows, b, n)
-    return char_sum_over_solutions(sol, [x % n for x in phase_row(mu)])
+    step = p ** (e - 1)
+    top = (p - 1) * step
+    rem: dict[int, int] = {}
+    for r, c in counts.items():
+        r %= p * step
+        if r < top:
+            rem[r] = rem.get(r, 0) + c
+        else:
+            for t in range(r - top, top, step):
+                rem[t] = rem.get(t, 0) - c
+    if any(c for r, c in rem.items() if r):
+        raise InvariantError(f"phase sum mod {p}^{e} is not an integer")
+    return rem.get(0, 0)
+
+
+def beta_coset_char_sum(n: int, g: int, lam: CycInt, rhs: CycInt,
+                        b0: CycInt, mu: CycInt) -> tuple[int, int]:
+    """(count, r) with sum = count * e(r/n) over the beta-coset, (0, 0) if empty.
+
+    The coset is {beta mod n : beta = b0 (mod g), lam*beta = rhs (mod n/g)}
+    with g | n; the summand is e(<mu*beta, 1>/n).  With beta = b0 + g*gamma,
+    gamma ranges over the solutions mod n/g of g*lam*gamma = rhs - lam*b0 and
+    the summand is e(<mu*b0, 1>/n) * e(<mu*gamma, 1>/(n/g)).
+    """
+    m = n // g
+    b = b0.coords()
+    rows = mult_matrix(lam)
+    c = [t - sum(x * y for x, y in zip(row, b)) for row, t in zip(rows, rhs.coords())]
+    sol = solve_mod([[g * x for x in row] for row in rows], c, m)
+    mu_row = ell_matrix(mu)[0]
+    cnt, r = char_sum_over_solutions(sol, mu_row)
+    if not cnt:
+        return 0, 0
+    return cnt, (sum(x * y for x, y in zip(mu_row, b)) + g * r) % n
+
+
+def coset_phase_counts(n: int, g: int, lams, rhs: CycInt, b1: CycInt, b2: CycInt,
+                       a1: CycInt = ZERO, shift: int = 0) -> dict[int, int]:
+    """Integer counts {r: c} per phase class r mod n of
+
+        sum over lam in lams of e(shift/n) * sum over {beta = b1 (g),
+            lam*beta = rhs (n/g)} of e(<(a1 + lam*b2) beta, 1>/n),
+
+    with classes in the order first met."""
+    counts: dict[int, int] = {}
+    for lam in lams:
+        cnt, r = beta_coset_char_sum(n, g, lam, rhs, b1, a1 + lam * b2)
+        if cnt:
+            r = (r + shift) % n
+            counts[r] = counts.get(r, 0) + cnt
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -151,39 +185,24 @@ def count_pairs(n: int, M: int, beta1p: CycInt, beta2p: CycInt,
 
 @lru_cache(maxsize=4096)
 def _count_pairs_local_cached(p: int, e: int, g: int, b1c, b2c, rows) -> int:
-    """The local pair count, with the beta' coordinates already reduced mod g."""
+    """The local pair count, with the beta' coordinates already reduced mod g.
+
+    Generic path: T(lam) = sum over beta1, beta2 = beta' (g) of
+    psi(lam*beta1*beta2); summing beta2 leaves (p^e/g)^4 times the character
+    sum over {beta1 = b1 (g), lam*beta1 = 0 (p^e/g)} with phase
+    <lam*b2*beta1, 1>, and the count is |L|/p^(2e) * sum of T over the dual.
+    """
     pe = p ** e
     dual = _dual_subgroup(pe, [list(r) for r in rows])
     size_L = (pe * pe) // dual.count
     if g == 1:
         return _count_local_coprime(p, e, dual, size_L)
-    # generic path: complex accumulation of exact phase counts
-    b1, b2 = CycInt(*b1c), CycInt(*b2c)
-    acc: dict[int, int] = {}
-    for w in dual.iter_all():
-        lam = CycInt(w[0], w[1], 0, 0)
-        cnt, r = _tsum(pe, g, lam, b1, b2)
-        if cnt:
-            acc[r] = acc.get(r, 0) + cnt
-    val = phase_sum(acc.items(), pe)
-    total = val.real * size_L / (pe * pe)
-    rounded = round(total)
-    if not (abs(total - rounded) < _ROUND_TOL
-            and abs(val.imag) * size_L / (pe * pe) < _ROUND_TOL):
-        raise InvariantError(f"pair count {val * size_L / (pe * pe)} mod {p}^{e} "
-                             "is not an integer")
-    return int(rounded)
-
-
-def _tsum(n: int, g: int, lam: CycInt, b1: CycInt, b2: CycInt) -> tuple[int, int]:
-    """T_n(lam) = sum over beta1, beta2 = beta' (g) of psi_n(lam*beta1*beta2).
-
-    Summing beta2 first leaves (n/g)^4 times a character sum over the beta1
-    coset {beta1 = b1 (g), lam*beta1 = 0 (n/g)} with phase <lam*b2*beta1, 1>.
-    """
-    npr = n // g
-    cnt, r = beta_coset_char_sum(n, g, npr, lam, CycInt(0), b1, lam * b2)
-    return cnt * npr ** 4, r
+    lams = (CycInt(x, y, 0, 0) for x, y in dual.elements().tolist())
+    counts = coset_phase_counts(pe, g, lams, ZERO, CycInt(*b1c), CycInt(*b2c))
+    total = exact_phase_sum(counts, p, e) * (pe // g) ** 4 * size_L
+    if total % (pe * pe):
+        raise InvariantError(f"pair count {total}/{pe * pe} mod {p}^{e} is not an integer")
+    return total // (pe * pe)
 
 
 def _count_local_coprime(p: int, e: int, dual, size_L: int) -> int:
@@ -193,7 +212,7 @@ def _count_local_coprime(p: int, e: int, dual, size_L: int) -> int:
     else:
         if dual.count > 3 * 10 ** 7:
             raise ValueError("dual subgroup too large for enumeration budget")
-        xs, ys = _subgroup_elements(dual)
+        xs, ys = dual.elements().T
         exps = _kernel_sizes_vectorized(p, e, xs, ys)
         hist = np.bincount(exps, minlength=4 * e + 1)
         ksum = sum(int(c) * p ** j for j, c in enumerate(hist))
@@ -222,32 +241,18 @@ def _kernel_size_total(p: int, e: int) -> int:
     return total
 
 
-def _subgroup_elements(sol) -> tuple[np.ndarray, np.ndarray]:
-    n = sol.n
-    xs = np.array([sol.x0[0]], dtype=np.int64)
-    ys = np.array([sol.x0[1]], dtype=np.int64)
-    for gen, order in zip(sol.gens, sol.gen_orders):
-        if order <= 1:
-            continue
-        mult = np.arange(order, dtype=np.int64)
-        xs = (xs[:, None] + mult[None, :] * gen[0]) % n
-        ys = (ys[:, None] + mult[None, :] * gen[1]) % n
-        xs = xs.ravel()
-        ys = ys.ravel()
-    return xs, ys
-
-
 # ---------------------------------------------------------------------------
 # S_p(v; k): the local character sums behind tau_p and S-hat
 # ---------------------------------------------------------------------------
 
 def sp_vk(v: tuple[int, int], p: int, k: int, M: int,
-          beta1p: CycInt, beta2p: CycInt) -> complex:
+          beta1p: CycInt, beta2p: CycInt) -> float:
     """S_p(v; k) from its defining triple character sum, exactly.
 
     After executing the w-sum and the beta2-sum, S_p(v;k) equals a prefactor
     times the sum over primitive a (mod p^k) with a.v = 0 (p^k) of character
-    sums over beta1-cosets; each inner sum is evaluated exactly.
+    sums over beta1-cosets.  That sum is rational (the defining sum is) and a
+    sum of roots of unity, so an integer, which exact_phase_sum returns.
     """
     m = vp(M, p)
     if k == 0:
@@ -260,13 +265,7 @@ def sp_vk(v: tuple[int, int], p: int, k: int, M: int,
     # prefactor p^(k + 4(k - eta0) - 9k - 8*max(0, m - k))
     pref_exp = k + 4 * (k - eta0) - 9 * k - 8 * max(0, m - k)
     sol = solve_mod([[v[0] % pk, v[1] % pk]], [0], pk)
-    terms = []
-    for a in sol.iter_all():
-        a1, a2 = a
-        if a1 % p == 0 and a2 % p == 0:
-            continue
-        lam = CycInt(a1, a2, 0, 0)
-        cnt, r = beta_coset_char_sum(pk, geta, pk // geta, lam, CycInt(0), b1, lam * b2)
-        if cnt:
-            terms.append((r, cnt))
-    return phase_sum(terms, pk) * float(p) ** pref_exp
+    lams = (CycInt(a1, a2, 0, 0) for a1, a2 in sol.elements().tolist()
+            if a1 % p or a2 % p)
+    counts = coset_phase_counts(pk, geta, lams, ZERO, b1, b2)
+    return exact_phase_sum(counts, p, k) * float(p) ** pref_exp

@@ -33,8 +33,8 @@ from math import gcd
 
 import numpy as np
 
-from .counts import beta_coset_char_sum, count_pairs, phase_row, phase_sum
-from .cyclotomic import CycInt, CycRes, Vec2Int, conj_star, ell, ell_matrices, norm
+from .counts import ZERO, count_pairs, coset_phase_counts, phase_sum
+from .cyclotomic import CycInt, CycRes, Vec2Int, conj_star, ell, ell_matrices, ell_matrix, norm
 from .residues import IntPoly, divisors, is_prime, roots_mod_p, vp
 
 # enumeration budgets; configuration constants, not hard limits of the method
@@ -64,6 +64,10 @@ class CongruenceData:
             raise ValueError("beta' residues must live mod M")
         if self.strict and not self.compatible():
             raise ValueError("ell(beta1' * beta2') != 0 mod M")
+
+    def reduced(self, g: int) -> tuple[CycInt, CycInt]:
+        """beta1', beta2' with coordinates reduced into [0, g)."""
+        return tuple(CycInt(*(x % g for x in b.coords)) for b in (self.beta1p, self.beta2p))
 
     def compatible(self) -> bool:
         return all(x % self.M == 0 for x in ell(self.beta1p.lift() * self.beta2p.lift()))
@@ -97,8 +101,8 @@ def _pair_phase_counts(q: int, adm1: np.ndarray, adm2: np.ndarray,
                        idx1: np.ndarray, idx2: np.ndarray,
                        a1: CycInt, a2: CycInt) -> dict[int, int]:
     """Integer counts of e(r/q) phases over an admissible index-pair list."""
-    u = adm1 @ np.array(phase_row(a1), dtype=np.int64) % q
-    w = adm2 @ np.array(phase_row(a2), dtype=np.int64) % q
+    u = adm1 @ np.array(ell_matrix(a1)[0], dtype=np.int64) % q
+    w = adm2 @ np.array(ell_matrix(a2)[0], dtype=np.int64) % q
     tot = (u[idx1] + w[idx2]) % q
     binc = np.bincount(tot, minlength=q)
     return {int(r): int(c) for r, c in enumerate(binc) if c}
@@ -180,35 +184,12 @@ def _s1_prime_coprime(a1: CycInt, a2: CycInt, p: int) -> complex:
     T = (x2 * xs % p * (w[3] % p) - x2 * ys % p * (w[2] % p)
          + xs * y2 % p * (w[1] % p) - y2 * ys % p * (w[0] % p)) % p
     unit = nval != 0
-    r = (-T[unit] * inv[nval[unit]]) % p
-    counts = np.bincount(r, minlength=p)
-    terms = [(k, int(c)) for k, c in enumerate(counts) if c]
-    # singular lambdas via the generic path
-    zero = CycInt(0)
-    for i in np.nonzero(~unit)[0]:
-        lam = CycInt(int(xs[i]), int(ys[i]), 0, 0)
-        cnt, rr = beta_coset_char_sum(p, 1, p, lam, -a2, zero, a1 + lam * zero)
-        if cnt:
-            terms.append((rr, cnt))
-    return phase_sum(terms, p) * p ** 2 / p ** 3
-
-
-def _coset_phase_sum(n: int, g: int, cond_mod: int, lams, a1: CycInt, a2: CycInt,
-                     cong: CongruenceData):
-    """sum over lam in lams of psi_n(a2 b2') * sum over {beta = b1' (g),
-    lam beta = -a2 (cond_mod)} of e(<(a1 + lam b2') beta, 1>/n), with the
-    congruence residues b_i' reduced mod g; the core of both fast evaluators."""
-    b1 = CycInt(*(x % g for x in cong.beta1p.coords))
-    b2 = CycInt(*(x % g for x in cong.beta2p.coords))
-    base_r = (a2 * b2).c3  # <a2 b2', 1>
-    rhs = -a2
-    counts: dict[int, int] = {}
-    for lam in lams:
-        cnt, r = beta_coset_char_sum(n, g, cond_mod, lam, rhs, b1, a1 + lam * b2)
-        if cnt:
-            rr = (r + base_r) % n
-            counts[rr] = counts.get(rr, 0) + cnt
-    return phase_sum(counts.items(), n)
+    counts = np.bincount((-T[unit] * inv[nval[unit]]) % p, minlength=p).tolist()
+    # singular lambdas via the generic path, merged exactly per phase class
+    lams = (CycInt(x, y, 0, 0) for x, y in zip(xs[~unit].tolist(), ys[~unit].tolist()))
+    for r, c in coset_phase_counts(p, 1, lams, -a2, ZERO, ZERO, a1).items():
+        counts[r] += c
+    return phase_sum(((k, c) for k, c in enumerate(counts) if c), p) * p ** 2 / p ** 3
 
 
 def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue:
@@ -227,7 +208,9 @@ def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue
     if g == 1 and q > 2 and is_prime(q):
         return ExpSumValue(_s1_prime_coprime(a1, a2, q))
     lams = (CycInt(g * x, g * y, 0, 0) for x in range(qp) for y in range(qp))
-    val = _coset_phase_sum(q, g, qp, lams, a1, a2, cong) * qp ** 2 / q ** 3
+    b1, b2 = cong.reduced(g)
+    counts = coset_phase_counts(q, g, lams, -a2, b1, b2, a1, shift=(a2 * b2).c3)
+    val = phase_sum(counts.items(), q) * qp ** 2 / q ** 3
     return ExpSumValue(val)
 
 
@@ -247,7 +230,9 @@ def s2_fast(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
     cyc_c = CycInt(-c[1], c[0], 0, 0)  # c1*zeta - c2; det(c, ell(a)) = <a, c1 z - c2>
     gammas = (gq * x0 * cyc_c + q * CycInt(x1, y1, 0, 0)
               for x0 in range(Q0) for x1 in range(d) for y1 in range(d))
-    val = (_coset_phase_sum(n, g2, npr, gammas, a1, a2, cong)
+    b1, b2 = cong.reduced(g2)
+    counts = coset_phase_counts(n, g2, gammas, -a2, b1, b2, a1, shift=(a2 * b2).c3)
+    val = (phase_sum(counts.items(), n)
            * npr ** 4 / (d ** 3 * q ** 3 * d * d * Q0))
     return ExpSumValue(val)
 
@@ -296,8 +281,10 @@ def n2_tilde(c: Vec2Int, d: int, q: int, cong: CongruenceData) -> float:
 
 
 def a_alpha(alpha: CycInt, p: int) -> int:
-    """Main term of the prime-modulus S1 evaluation:
-    -1 - [p | <alpha,1>] + #{x mod p : f_alpha(x) = 0 (p)}."""
+    """Main term of the prime-modulus S1 evaluation: -1 plus the number of
+    roots of f_alpha on P^1(F_p), i.e. -1 + [p | <alpha,1>] + #{x mod p :
+    f_alpha(x) = 0 (p)}, the point at infinity being a root exactly when p
+    divides the leading coefficient <alpha,1>."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n0, n1, n2, n3 = alpha.coords()
@@ -305,7 +292,7 @@ def a_alpha(alpha: CycInt, p: int) -> int:
         nroots = p
     else:
         nroots = len(roots_mod_p(IntPoly(n0, n1, n2, n3), p))
-    return -1 - (1 if alpha.c3 % p == 0 else 0) + nroots
+    return -1 + (1 if alpha.c3 % p == 0 else 0) + nroots
 
 
 def s2_bound_rhs(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith/Hermite normal forms and linear systems mod n.
+"""Exact integer linear algebra: Smith normal forms and linear systems mod n.
 
 Everything here works on small dense integer matrices (at most 8x4 in
 practice) with arbitrary-precision Python ints, so there is no overflow to
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -103,56 +105,20 @@ def smith_normal_form(A: list[list[int]], modulus: int | None = None
     return U, S, V
 
 
-def hnf_column_style(vectors: list[list[int]]) -> list[list[int]]:
-    """Column Hermite form of the lattice spanned by the given row vectors.
-
-    Returns a list of nonzero rows forming a triangular basis (row-style HNF,
-    pivots positive).  Input rows may be linearly dependent.
-    """
-    rows = [v[:] for v in vectors if any(v)]
-    if not rows:
-        return []
-    ncols = len(vectors[0])
-    basis: list[list[int]] = []
-    for col in range(ncols):
-        # reduce all rows against current column
-        while True:
-            cand = [r for r in rows if r[col] != 0]
-            if len(cand) <= 1:
-                break
-            cand.sort(key=lambda r: abs(r[col]))
-            a = cand[0]
-            for b in cand[1:]:
-                q = b[col] // a[col]
-                for k in range(ncols):
-                    b[k] -= q * a[k]
-            rows = [r for r in rows if any(r)]
-        pivot = next((r for r in rows if r[col] != 0), None)
-        if pivot is not None:
-            rows.remove(pivot)
-            if pivot[col] < 0:
-                pivot = [-x for x in pivot]
-            basis.append(pivot)
-    # triangular reduction of off-pivot entries (keeps things small; optional)
-    return basis
-
-
 def lattice_index(vectors: list[list[int]], dim: int) -> int:
     """Index [Z^dim : L] of the lattice L spanned by the given row vectors.
 
+    The product of the Smith diagonal: S = U*A*V with U, V unimodular, so
+    L and the row span of S differ by the automorphism V of Z^dim.
     Raises ValueError if the span has rank < dim.
     """
-    basis = hnf_column_style(vectors)
-    if len(basis) < dim:
-        raise ValueError("generator set spans a rank-deficient lattice")
+    _, S, _ = smith_normal_form(vectors)
     det = 1
-    used = set()
-    for row in basis:
-        col = next(i for i, x in enumerate(row) if x != 0)
-        if col in used:
-            raise ValueError("unexpected HNF shape")
-        used.add(col)
-        det *= abs(row[col])
+    for i in range(dim):
+        d = S[i][i] if i < len(S) else 0
+        if d == 0:
+            raise ValueError("generator set spans a rank-deficient lattice")
+        det *= d
     return det
 
 
@@ -173,17 +139,16 @@ class SolutionSet:
     gen_orders: list[int]
     count: int
 
-    def iter_all(self):
-        """Yield every solution (as a list mod n). Use only for small counts."""
-        from itertools import product
-
-        ranges = [range(o) for o in self.gen_orders]
-        for multi in product(*ranges):
-            x = list(self.x0)
-            for c, g in zip(multi, self.gens):
-                if c:
-                    x = [(a + c * b) % self.n for a, b in zip(x, g)]
-            yield x
+    def elements(self) -> np.ndarray:
+        """Every solution, as a (count, k) int64 array mod n; the multiple of
+        the first generator varies slowest.  Use only for small counts (and
+        n < 3e9, so that x + c*g stays inside int64)."""
+        x = np.array([self.x0], dtype=np.int64)
+        for g, order in zip(self.gens, self.gen_orders):
+            if order > 1:
+                steps = np.arange(order, dtype=np.int64)[:, None] * np.array(g, dtype=np.int64)
+                x = ((x[:, None, :] + steps[None, :, :]) % self.n).reshape(-1, len(g))
+        return x
 
 
 def solve_mod(A: list[list[int]], b: list[int], n: int) -> SolutionSet | None:

@@ -381,7 +381,7 @@ def ideal_norm(gens: list[CycInt]) -> int:
     """Index [O_K : I] for the ideal I generated by gens.
 
     The ideal is the Z-lattice spanned by g * z^j over generators g and
-    j = 0..3; the index is the determinant of its Hermite normal form.
+    j = 0..3; the index is the product of its Smith diagonal.
     Raises ValueError when the generators span a rank-deficient lattice.
     """
     rows: list[list[int]] = []

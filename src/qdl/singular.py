@@ -16,6 +16,9 @@ The zero-frequency densities live here:
 * kappa, c_constants -- the archimedean area constant and the Laurent /
                       partial-sum constants of sum rho(q) q^(-s-1).
 
+scipy's quad is imported inside the four functions that integrate, so
+importing this module does not load scipy.
+
 Tail bounds use the difference estimates with empirically frozen constants
 from qdl.constants; every estimate carries its truncation level and a
 rigorous-given-the-constant tail bound.
@@ -30,7 +33,6 @@ from math import gcd
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 
 from . import InvariantError
 from . import constants as C
@@ -156,7 +158,7 @@ def tau_p(v: Vec2Int, p: int, target_tail: float = 1e-6,
     b1, b2 = cong.beta1p.lift(), cong.beta2p.lift()
     total = sum(sp_vk(tuple(v), p, k, cong.M, b1, b2) for k in range(K + 1))
     pref = p ** vp(gcd(v[0], v[1]), p)
-    val = total.real / pref if isinstance(total, complex) else total / pref
+    val = total / pref
     return LocalDensityEstimate(p, val, K, tail(K) / pref, "tau_p")
 
 
@@ -247,12 +249,16 @@ def s_hat(w: Vec2Int, q: int, cong: CongruenceData) -> complex:
 
 def kappa() -> float:
     """Area of {x1^4 + x2^4 <= 1}, by adaptive quadrature (abs err <= 1e-9)."""
+    from scipy.integrate import quad
+
     val, err = quad(lambda t: (1 - t ** 4) ** 0.25, 0.0, 1.0, epsabs=1e-12, limit=200)
     return 4 * val
 
 
 def kappa_polar() -> float:
     """Same area by an independent quadrature in polar coordinates."""
+    from scipy.integrate import quad
+
     val, err = quad(lambda th: 0.5 * (math.cos(th) ** 4 + math.sin(th) ** 4) ** -0.5,
                     0.0, 2 * math.pi, epsabs=1e-12, limit=400)
     return val
@@ -418,6 +424,8 @@ def _rho_from_spf(q: int, spf: np.ndarray) -> int:
 
 def omega_mellin_at_1(omega: BumpWeight) -> float:
     """int_{x>0} omega(x) dx (the Mellin transform at 1)."""
+    from scipy.integrate import quad
+
     val, _ = quad(omega, omega.lo, omega.hi, epsabs=1e-13, limit=200)
     return val
 
@@ -429,6 +437,8 @@ def radial_delta_line_integral(omega: BumpWeight, w: tuple[float, float],
     Two Gaussian widths and Richardson extrapolation; the exact value is
     2 * (int_0^inf omega) / |w|.
     """
+    from scipy.integrate import quad
+
     nw = math.hypot(*w)
     if nw == 0:
         raise ValueError("w must be nonzero")

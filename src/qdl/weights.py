@@ -11,8 +11,9 @@ normalizations:
                          (the omega_2; the 1D expansion needs hat w(0) = 2)
 * plain:                 unscaled (coordinate bumps for the phi weights)
 
-Normalization integrals are computed by adaptive Gauss-Kronrod quadrature,
-and make_bump refuses a weight whose reported relative error exceeds
+Normalization integrals are computed by adaptive Gauss-Kronrod quadrature
+(scipy, imported by the branches that integrate so that importing this
+module does not load it), and make_bump refuses a weight whose reported relative error exceeds
 NORMALIZATION_TOL.  A smoothness witness (max |f^(j)| for j <= 3 on a grid)
 is computed on demand for diagnostics.
 """
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 NORMALIZATION_TOL = 1e-12  # relative error of a normalization integral
 
@@ -71,11 +71,15 @@ def make_bump(lo: float, hi: float, kind: str = "plain") -> BumpWeight:
         raise ValueError(f"{kind} requires support away from 0 (lo > 0)")
     raw = lambda t: _raw_bump(t, lo, hi)
     if kind == "radial-normalized":
+        from scipy.integrate import quad
+
         # int_{R^2} w(|x|) dx = 2*pi*int r w(r) dr = 1
         val, err = quad(lambda r: r * raw(r), lo, hi, epsabs=0, epsrel=1e-13, limit=200)
         scale = 1.0 / (2 * math.pi * val)
         norm_err = err / val
     elif kind == "even-halfline-normalized":
+        from scipy.integrate import quad
+
         val, err = quad(raw, lo, hi, epsabs=0, epsrel=1e-13, limit=200)
         scale = 1.0 / val
         norm_err = err / val

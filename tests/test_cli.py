@@ -100,3 +100,16 @@ def test_invariant_error_exits_2(monkeypatch):
 
     monkeypatch.setattr(cli, "dispatch", broken)
     assert cli.main(["rho", "--q", "5"]) == 2
+
+
+def test_package_import_leaves_scipy_unloaded():
+    """scipy's quadrature is imported by the functions that integrate, not at
+    module load, so the arithmetic commands start without it."""
+    code = (
+        "import sys\n"
+        "import qdl.experiments, qdl.singular, qdl.weights\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from qdl.counts import count_pairs, sp_vk
-from qdl.cyclotomic import CycInt
+from qdl import InvariantError
+from qdl.counts import beta_coset_char_sum, count_pairs, exact_phase_sum, phase_sum, sp_vk
+from qdl.cyclotomic import CycInt, ell_matrix, mult_matrix
+from qdl.residues import divisors
 
 
 def sp_vk_brute(v, p, k, M, b1, b2):
@@ -109,3 +111,62 @@ def test_count_pairs_sublattice_target():
                 count += 1
     got = count_pairs(n, 1, CycInt(0), CycInt(0), lambda p, e: [[1, 1]])
     assert got == count
+
+
+def _coset_phase_histogram(n, g, lam, rhs, b0, mu):
+    """{r: #beta} over the literal coset {beta mod n : beta = b0 (g),
+    lam*beta = rhs (n/g)}, r = <mu*beta, 1> mod n."""
+    axes = [np.arange(0, n, g) + (b % g) for b in b0.coords()]
+    beta = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    image = beta @ np.array(mult_matrix(lam)).T - np.array(rhs.coords())
+    inside = beta[np.all(image % (n // g) == 0, axis=1)]
+    r = inside @ np.array(ell_matrix(mu)[0]) % n
+    return {int(k): int(c) for k, c in enumerate(np.bincount(r, minlength=n)) if c}
+
+
+def test_beta_coset_char_sum_matches_enumeration():
+    rng = np.random.default_rng(11)
+    seen = {"one class": 0, "cancelled": 0, "empty": 0}
+    for n in (4, 6, 8, 9, 12, 16, 18, 21, 25, 27):
+        for g in divisors(n):
+            for _ in range(3):
+                lam, b0, mu, t = (CycInt(*(int(x) for x in rng.integers(-9, 10, 4)))
+                                  for _ in range(4))
+                if rng.random() < 0.5:
+                    lam = lam * int(rng.choice(divisors(n)))
+                # rhs = lam * (a coset element) + a perturbation, so that both
+                # solvable and unsolvable systems occur
+                beta_s = b0 + t * g
+                rhs = lam * beta_s + (t if rng.random() < 0.3 else CycInt(n // g))
+                if rhs.is_zero() or b0.is_zero() or mu.is_zero():
+                    continue
+                cnt, r = beta_coset_char_sum(n, g, lam, rhs, b0, mu)
+                hist = _coset_phase_histogram(n, g, lam, rhs, b0, mu)
+                if cnt:
+                    assert hist == {r: cnt}, (n, g, lam, rhs, b0, mu)
+                    seen["one class"] += 1
+                else:
+                    assert r == 0
+                    assert abs(phase_sum(hist.items(), n)) < 1e-9, (n, g, lam, rhs, b0, mu)
+                    seen["cancelled" if hist else "empty"] += 1
+    assert min(seen.values()) > 5, seen
+
+
+def test_exact_phase_sum():
+    rng = np.random.default_rng(3)
+    for p, e in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 2), (7, 1)):
+        pe, step = p ** e, p ** (e - 1)
+        assert exact_phase_sum({0: 7}, p, e) == 7
+        assert exact_phase_sum({r: 1 for r in range(pe)}, p, e) == 0
+        # a constant plus multiples of the vanishing sums x^s * Phi_{p^e}(x)
+        counts = {0: -4}
+        for _ in range(5):
+            s, c = int(rng.integers(0, pe)), int(rng.integers(-9, 10))
+            for j in range(p):
+                r = (s + j * step) % pe
+                counts[r] = counts.get(r, 0) + c
+        assert exact_phase_sum(counts, p, e) == -4
+        assert abs(phase_sum(counts.items(), pe) + 4) < 1e-9
+    for p, e in ((3, 1), (2, 2), (5, 2)):
+        with pytest.raises(InvariantError):
+            exact_phase_sum({1: 1}, p, e)

@@ -86,9 +86,10 @@ def test_s1_plain_multiplicativity_sample():
 def test_a_alpha_examples():
     assert a_alpha(CycInt(1, 0, 0, 1), 7) == 2
     assert a_alpha(CycInt(0, 0, 0, 1), 5) == 0
-    # degree < 3 stays well defined
-    assert a_alpha(CycInt(2, 3, 1, 0), 5) == -1 - 1 + len(
-        [x for x in range(5) if (x * x + 3 * x + 2) % 5 == 0])
+    # degree < 3 stays well defined: <alpha, 1> = 0, so the point at infinity
+    # is a root of f_alpha on P^1(F_5), next to x = 3, 4
+    assert a_alpha(CycInt(2, 3, 1, 0), 5) == -1 + 1 + len(
+        [x for x in range(5) if (x * x + 3 * x + 2) % 5 == 0]) == 2
 
 
 def test_prop61_shape_at_prime():

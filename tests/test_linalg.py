@@ -3,8 +3,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from qdl.linalg import (char_sum_over_solutions, hnf_column_style, integer_kernel,
-                        lattice_index, smith_normal_form, solve_mod)
+import pytest
+
+from qdl.linalg import (char_sum_over_solutions, integer_kernel, lattice_index,
+                        smith_normal_form, solve_mod)
 
 
 def matmul(A, B):
@@ -35,7 +37,9 @@ def test_solve_mod_matches_enumeration(n, entries, rhs):
     if sol is None:
         assert not brute
     else:
-        assert sorted(tuple(v) for v in sol.iter_all()) == sorted(brute)
+        elems = [tuple(v) for v in sol.elements().tolist()]
+        assert len(elems) == sol.count
+        assert sorted(elems) == sorted(brute)
 
 
 def test_char_sum_matches_direct():
@@ -57,12 +61,44 @@ def test_char_sum_matches_direct():
         assert abs(direct - want) < 1e-7
 
 
-def test_lattice_index_and_hnf():
+def test_lattice_index():
     # index of 2Z^2 + Z(1,1) in Z^2 is 2
     assert lattice_index([[2, 0], [0, 2], [1, 1]], 2) == 2
     assert lattice_index([[1, 0, 0], [0, 3, 0], [0, 0, 5]], 3) == 15
-    basis = hnf_column_style([[2, 4], [6, 8]])
-    assert len(basis) == 2
+    assert lattice_index([[2, 4], [6, 8]], 2) == 8  # |det|
+    with pytest.raises(ValueError):
+        lattice_index([[1, 2], [2, 4]], 2)
+    with pytest.raises(ValueError):
+        lattice_index([[1, 0, 0], [0, 1, 0]], 3)
+
+
+def test_lattice_index_matches_enumeration():
+    """Square generator sets give |det| (ValueError when singular); generator
+    sets containing n*I give n^3 / |L mod n|, with L mod n enumerated as the
+    subgroup of (Z/n)^3 the rows generate."""
+    rng = random.Random(5)
+    for _ in range(200):
+        A = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
+        det = (A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
+               - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
+               + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
+        if det == 0:
+            with pytest.raises(ValueError):
+                lattice_index(A, 3)
+        else:
+            assert lattice_index(A, 3) == abs(det)
+        n = rng.choice([2, 4, 6, 9])
+        rows = A[:rng.randint(0, 3)] + [[n if i == j else 0 for j in range(3)] for i in range(3)]
+        span = {(0, 0, 0)}
+        frontier = list(span)
+        while frontier:
+            x = frontier.pop()
+            for r in rows:
+                y = tuple((a + b) % n for a, b in zip(x, r))
+                if y not in span:
+                    span.add(y)
+                    frontier.append(y)
+        assert lattice_index(rows, 3) == n ** 3 // len(span)
 
 
 def test_integer_kernel():
