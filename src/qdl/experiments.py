@@ -22,6 +22,7 @@ here:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from math import gcd, isqrt
@@ -29,11 +30,10 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import InvariantError
-from .cyclotomic import (CycInt, CycRes, conj_star, ell, ell_matrices, ell_matrix, embed,
-                         embed_abs, norm, unembed)
+from .cyclotomic import (CycInt, CycRes, conj_star, ell_matrices, ell_matrix, embed,
+                         embed_abs, unembed)
 from .delta import primitive_vectors, q_sum
 from .expsums import CongruenceData
-from .linalg import integer_kernel
 from .residues import divisors, rho, sieve_primes
 from .singular import sigma_p_product
 from .weights import BumpWeight, make_bump
@@ -349,86 +349,132 @@ def _dual_center(x0):
     return tuple(float(c) / Nval ** 0.75 for c in star.coords())
 
 
-def _alpha1_candidates(X1: float, phi, cong: CongruenceData, slot: int):
-    """Integer alphas in the scaled support box with the M-congruence and a
-    nonzero weight, together with their weights (vectorized scan)."""
-    beta = cong.beta1p if slot == 1 else cong.beta2p
-    boxes = [(lo * X1, hi * X1) for (lo, hi) in phi.boxes]
-    M = cong.M
+def _box_axes(X: float, phi, beta: tuple[int, int, int, int], M: int) -> list[np.ndarray]:
+    """Per coordinate, the integers of X * phi's box congruent to beta mod M."""
     axes = []
-    for (lo, hi), b in zip(boxes, beta.coords):
-        first = math.ceil(lo)
+    for (lo, hi), b in zip(phi.boxes, beta):
+        first = math.ceil(lo * X)
         first += (b - first) % M
-        axes.append(np.arange(first, math.floor(hi) + 1, M, dtype=np.int64))
-    if any(len(a) == 0 for a in axes):
-        return []
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    w = phi.eval_rows(pts / X1)
-    keep = np.nonzero(w > 0)[0]
-    return [(CycInt(*[int(v) for v in pts[i]]), float(w[i])) for i in keep]
+        axes.append(np.arange(first, math.floor(hi * X) + 1, M, dtype=np.int64))
+    return axes
 
 
-def _lattice_points_in_box(basis: list[list[int]], boxes: list[tuple[float, float]]):
-    """Integer combinations s*v1 + t*v2 inside a coordinate box."""
-    v1 = np.array(basis[0], dtype=float)
-    v2 = np.array(basis[1], dtype=float)
-    G = np.array([[v1 @ v1, v1 @ v2], [v1 @ v2, v2 @ v2]])
-    Ginv = np.linalg.inv(G)
-    R = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in boxes))
-    s_lim = int(math.floor(R * math.sqrt(Ginv[0, 0]))) + 1
-    t_lim = int(math.floor(R * math.sqrt(Ginv[1, 1]))) + 1
-    b1 = np.array(basis[0])
-    b2 = np.array(basis[1])
-    los = np.array([b[0] for b in boxes])
-    his = np.array([b[1] for b in boxes])
-    pts = []
-    for s in range(-s_lim, s_lim + 1):
-        base = s * b1
-        for t in range(-t_lim, t_lim + 1):
-            x = base + t * b2
-            if np.all(x >= los - 1e-12) and np.all(x <= his + 1e-12):
-                pts.append(x)
-    return pts
+def _alpha1_candidates(X: float, phi, cong: CongruenceData,
+                       slot: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer alphas in the scaled support box with the slot's M-congruence
+    and a nonzero weight, as an (n, 4) int64 array and their weights."""
+    beta = (cong.beta1p if slot == 1 else cong.beta2p).coords
+    axes = _box_axes(X, phi, beta, cong.M)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    w = phi.eval_rows(pts / X)
+    keep = w > 0
+    return pts[keep], w[keep]
+
+
+# column pairs (i, j) of the 2x4 matrix A of x -> ell(alpha1 x); the scan
+# solves for coordinates i, j of alpha2 and runs the other two over the box
+_MINORS = tuple(itertools.combinations(range(4), 2))
+# (alpha1, free point) candidates held in memory at once by the scan
+_SCAN_CHUNK = 1 << 16
+
+
+def _kernel_points(alphas: np.ndarray, axes: list[np.ndarray],
+                   M: int) -> tuple[np.ndarray, np.ndarray]:
+    """All alpha2 on the grid axes[0] x ... x axes[3] (each axis an arithmetic
+    progression of step M) with ell(alpha1 alpha2) = 0, for every nonzero row
+    alpha1 of alphas, as (row index of alpha1, (n, 4) int64 alpha2).
+
+    ell(alpha1 x) = A x for the 2x4 matrix A = ell_matrix(alpha1).  For each
+    alpha1 the 2x2 minor of A on columns (i, j) with the largest |det| is
+    nonzero; the other two coordinates run over their axes and Cramer's rule
+    with an exact divisibility test gives x_i and x_j, which are kept when
+    they lie on their own axes.  Work is batched over alpha1, about
+    _SCAN_CHUNK candidates at a time, in exact int64 arithmetic (the caller
+    checks the bound that keeps it exact).
+    """
+    A = ell_matrices(alphas)
+    minors = np.stack([A[:, 0, i] * A[:, 1, j] - A[:, 0, j] * A[:, 1, i]
+                       for i, j in _MINORS], axis=1)
+    pick = np.abs(minors).argmax(axis=1)
+    det = minors[np.arange(len(A)), pick]
+    live = alphas.any(axis=1)
+    bad = np.nonzero((det == 0) & live)[0]
+    if len(bad):
+        raise InvariantError(f"x -> ell(alpha1 x) has rank < 2 at alpha1 = {alphas[bad[0]]}")
+    found_rows = [np.zeros(0, dtype=np.int64)]
+    found_pts = [np.zeros((0, 4), dtype=np.int64)]
+    if any(len(ax) == 0 for ax in axes):
+        return found_rows[0], found_pts[0]
+    for m, (i, j) in enumerate(_MINORS):
+        k, l = (c for c in range(4) if c not in (i, j))
+        xk, xl = (g.ravel() for g in np.meshgrid(axes[k], axes[l], indexing="ij"))
+        rows = np.nonzero((pick == m) & live)[0]
+        step = max(1, _SCAN_CHUNK // len(xk))
+        for s in range(0, len(rows), step):
+            r = rows[s:s + step]
+            a = A[r][:, :, :, None]
+            d = det[r][:, None]
+            # solve A[:, (i, j)] (x_i, x_j) = (u, v) := -(A_k x_k + A_l x_l)
+            u = -(a[:, 0, k] * xk + a[:, 0, l] * xl)
+            v = -(a[:, 1, k] * xk + a[:, 1, l] * xl)
+            num_i = u * a[:, 1, j] - v * a[:, 0, j]
+            num_j = a[:, 0, i] * v - a[:, 1, i] * u
+            ri, ci = np.nonzero((num_i % d == 0) & (num_j % d == 0))
+            x_i = num_i[ri, ci] // d[ri, 0]
+            x_j = num_j[ri, ci] // d[ri, 0]
+            on = _on_axis(x_i, axes[i], M) & _on_axis(x_j, axes[j], M)
+            pts = np.empty((int(on.sum()), 4), dtype=np.int64)
+            pts[:, i], pts[:, j] = x_i[on], x_j[on]
+            pts[:, k], pts[:, l] = xk[ci[on]], xl[ci[on]]
+            found_rows.append(r[ri[on]])
+            found_pts.append(pts)
+    return np.concatenate(found_rows), np.concatenate(found_pts)
+
+
+def _on_axis(x: np.ndarray, axis: np.ndarray, M: int) -> np.ndarray:
+    return (x >= axis[0]) & (x <= axis[-1]) & ((x - axis[0]) % M == 0)
+
+
+def _theorem2_scan(cfg: ExperimentConfig, phi1: ArchWeight,
+                   phi2: ArchWeight) -> tuple[float, int]:
+    """(theorem2_lhs, number of pairs (alpha1, alpha2) with nonzero weight)."""
+    if cfg.X1 ** 4 * cfg.X2 ** 2 > 10 ** 9:
+        raise ValueError("enumeration budget exceeded")
+    # _kernel_points' integers are at most 4 B1^2 B2 in absolute value (its
+    # Cramer numerators), B_i the largest |coordinate| in X_i * phi_i's box
+    B1, B2 = (math.ceil(X * max(max(abs(lo), abs(hi)) for lo, hi in phi.boxes))
+              for X, phi in ((cfg.X1, phi1), (cfg.X2, phi2)))
+    if 4 * B1 * B1 * B2 >= 2 ** 63:
+        raise ValueError(f"lattice scan leaves int64: 4 B1^2 B2 = {4 * B1 * B1 * B2}")
+    cong = cfg.congruence()
+    pts1, w1 = _alpha1_candidates(cfg.X1, phi1, cong, 1)
+    rows, pts2 = _kernel_points(pts1, _box_axes(cfg.X2, phi2, cong.beta2p.coords, cong.M),
+                                cong.M)
+    w2 = phi2.eval_rows(pts2 / cfg.X2)
+    return float(w1[rows] @ w2), int(np.count_nonzero(w2))
 
 
 def theorem2_lhs(cfg: ExperimentConfig, phi1: ArchWeight, phi2: ArchWeight) -> float:
     """sum over alpha1, alpha2 in O_K with ell(alpha1 alpha2) = 0 and the
     M-congruences of phi1(alpha1/X1) phi2(alpha2/X2).
 
-    alpha2 runs over the rank-2 integer kernel of beta -> ell(alpha1 beta).
+    alpha1 runs over phi1's box, skipping alpha1 = 0 (whose kernel is all of
+    O_K), and alpha2 over the rank-2 integer kernel of beta -> ell(alpha1 beta)
+    inside phi2's box, found by one exact batched scan (_kernel_points).
     """
-    if cfg.X1 ** 4 * cfg.X2 ** 2 > 10 ** 9:
-        raise ValueError("enumeration budget exceeded")
-    cong = cfg.congruence()
-    M = cong.M
-    b2 = cong.beta2p
-    total = 0.0
-    boxes2 = [(lo * cfg.X2, hi * cfg.X2) for (lo, hi) in phi2.boxes]
-    for a1, w1 in _alpha1_candidates(cfg.X1, phi1, cong, 1):
-        if norm(a1) == 0:
-            continue
-        basis = integer_kernel(ell_matrix(a1))
-        if len(basis) != 2:
-            raise InvariantError(f"kernel of beta -> ell({a1} beta) has rank {len(basis)}, not 2")
-        for x in _lattice_points_in_box(basis, boxes2):
-            c = [int(round(v)) for v in x]
-            if any((ci - bi) % M for ci, bi in zip(c, b2.coords)):
-                continue
-            w2 = phi2(*[ci / cfg.X2 for ci in c])
-            if w2:
-                total += w1 * w2
-    return total
+    return _theorem2_scan(cfg, phi1, phi2)[0]
 
 
 def theorem2_lhs_oracle(cfg: ExperimentConfig, phi1: ArchWeight, phi2: ArchWeight) -> float:
-    """Tiny-scale double-loop oracle over both coordinate boxes."""
+    """Tiny-scale oracle over both coordinate boxes: for each alpha1, ell(alpha1
+    alpha2) of every alpha2 in phi2's box, by one exact matrix product."""
     cong = cfg.congruence()
+    pts1, w1s = _alpha1_candidates(cfg.X1, phi1, cong, 1)
+    pts2, w2s = _alpha1_candidates(cfg.X2, phi2, cong, 2)
     total = 0.0
-    for a1, w1 in _alpha1_candidates(cfg.X1, phi1, cong, 1):
-        for a2, w2 in _alpha1_candidates(cfg.X2, phi2, cong, 2):
-            if ell(a1 * a2) == (0, 0):
-                total += w1 * w2
+    for a1, w1 in zip(pts1.tolist(), w1s):
+        ells = pts2 @ np.array(ell_matrix(CycInt(*a1)), dtype=np.int64).T
+        total += w1 * float(w2s[~ells.any(axis=1)].sum())
     return total
 
 
@@ -474,19 +520,25 @@ def thm2_check(cfg: ExperimentConfig, pair_count: int = 12,
     """Full smooth-count comparison over a rotated family of generic pairs.
 
     The joint weight is the sum of the tensor pairs; lhs, sigma_inf and the
-    error budget are all additive over the family.
+    error budget are all additive over the family.  "pairs" breaks the sums
+    down by pair: lhs, rhs, sigma_inf with its Monte Carlo standard error,
+    and the number of lattice pairs (alpha1, alpha2) with nonzero weight.
     """
     pairs = ArchWeight.rotated_generic_pairs(pair_count, radius)
-    lhs = 0.0
-    s_tot, var_tot = 0.0, 0.0
-    per_pair_samples = max(2000, cfg.mc_samples // pair_count)
-    for j, (p1, p2) in enumerate(pairs):
-        lhs += theorem2_lhs(cfg, p1, p2)
-        s, se = sigma_infinity(p1, p2, per_pair_samples, cfg.seed + j)
-        s_tot += s
-        var_tot += se * se
     prod, prod_err = sigma_p_product(cfg.congruence(), cfg.prime_cutoff)
     scale = cfg.X1 ** 2 * cfg.X2 ** 2
+    lhs = 0.0
+    s_tot, var_tot = 0.0, 0.0
+    rows = []
+    per_pair_samples = max(2000, cfg.mc_samples // pair_count)
+    for j, (p1, p2) in enumerate(pairs):
+        lhs_j, points = _theorem2_scan(cfg, p1, p2)
+        s, se = sigma_infinity(p1, p2, per_pair_samples, cfg.seed + j)
+        lhs += lhs_j
+        s_tot += s
+        var_tot += se * se
+        rows.append({"lhs": lhs_j, "rhs": scale * s * prod, "sigma_inf": s,
+                     "sigma_inf_se": se, "points": points})
     rhs = scale * s_tot * prod
     budget = scale * (3 * math.sqrt(var_tot) * prod + s_tot * prod_err)
     return {
@@ -494,7 +546,7 @@ def thm2_check(cfg: ExperimentConfig, pair_count: int = 12,
         "pair_count": pair_count, "radius": radius,
         "lhs": lhs, "rhs": rhs, "diff": abs(lhs - rhs), "budget": budget,
         "sigma_inf_sum": s_tot, "sigma_p_product": prod,
-        "pass": abs(lhs - rhs) <= budget,
+        "pairs": rows, "pass": abs(lhs - rhs) <= budget,
     }
 
 
@@ -519,11 +571,9 @@ def prop5_decomposition_check(cfg: ExperimentConfig, phi1: ArchWeight, phi2: Arc
     # aggregate pair weights by their ell value: the decomposition terms only
     # depend on ell(alpha1 alpha2)
     by_ell: dict[tuple[int, int], float] = {}
-    cands2 = _alpha1_candidates(cfg.X2, phi2, cong, 2)
-    arr2 = np.array([a.coords() for a, _ in cands2], dtype=np.int64)
-    w2s = np.array([w for _, w in cands2])
-    for a1, w1 in _alpha1_candidates(cfg.X1, phi1, cong, 1):
-        A = np.array(ell_matrix(a1), dtype=np.int64)
+    pts1, w1s = _alpha1_candidates(cfg.X1, phi1, cong, 1)
+    arr2, w2s = _alpha1_candidates(cfg.X2, phi2, cong, 2)
+    for A, w1 in zip(ell_matrices(pts1), w1s):
         ells = arr2 @ A.T  # rows: (ell1, ell2) of a1*a2
         for (l1, l2), w2 in zip(ells, w2s):
             key = (int(l1), int(l2))

@@ -4,15 +4,34 @@ import numpy as np
 import pytest
 
 from qdl import constants as C
-from qdl.cyclotomic import CycInt, ell
-from qdl.experiments import (AnnularWeight, ArchWeight, ExperimentConfig,
+from qdl.cyclotomic import CycInt, ell, ell_matrix
+from qdl.experiments import (AnnularWeight, ArchWeight, ExperimentConfig, _alpha1_candidates,
+                             _box_axes, _kernel_points, _theorem2_scan,
                              divisor_sum, divisor_sum_sieve_oracle, fit_loglog,
                              level_of_distribution, prop5_decomposition_check,
                              sigma_infinity, theorem1_main_term, theorem1_report,
                              theorem2_lhs, theorem2_lhs_oracle, thm2_check)
+from qdl.linalg import integer_kernel
 from qdl.weights import make_bump
 
 PHI = ArchWeight.centered(0.35)
+
+
+def _pair_count(cfg, phi1, phi2):
+    """#{(alpha1, alpha2) with nonzero weight, ell(alpha1 alpha2) = 0}, by
+    testing every alpha2 of phi2's box against each alpha1."""
+    cong = cfg.congruence()
+    pts1, _ = _alpha1_candidates(cfg.X1, phi1, cong, 1)
+    pts2, _ = _alpha1_candidates(cfg.X2, phi2, cong, 2)
+    return sum(int((~(pts2 @ np.array(ell_matrix(CycInt(*a)), dtype=np.int64).T)
+                    .any(axis=1)).sum()) for a in pts1.tolist() if any(a))
+
+
+def _assert_scan_matches_oracle(cfg, phi1, phi2, min_points=1):
+    lhs, points = _theorem2_scan(cfg, phi1, phi2)
+    assert lhs == theorem2_lhs(cfg, phi1, phi2)
+    assert abs(lhs - theorem2_lhs_oracle(cfg, phi1, phi2)) < 1e-10
+    assert points == _pair_count(cfg, phi1, phi2) >= min_points
 
 
 def test_divisor_sum_small_values():
@@ -80,6 +99,101 @@ def test_theorem2_lhs_oracle_equivalence():
     a = theorem2_lhs(cfg, ann, ann)
     b = theorem2_lhs_oracle(cfg, ann, ann)
     assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("M, beta1p, beta2p, X1, X2, weights, min_points", [
+    (1, (0, 0, 0, 0), (0, 0, 0, 0), 14, 9, "pair", 500),
+    (1, (0, 0, 0, 0), (0, 0, 0, 0), 9, 14, "pair", 500),
+    (1, (0, 0, 0, 0), (0, 0, 0, 0), 6, 4, "annulus", 1000),
+    (2, (1, 0, 0, 0), (1, 0, 0, 0), 16, 8, "pair", 5),
+    (2, (1, 1, 0, 0), (1, 1, 1, 1), 8, 6, "annulus", 50),
+    (2, (1, 0, 1, 1), (0, 1, 1, 1), 7, 9, "annulus", 50),
+    (3, (1, 2, 0, 1), (1, 1, 0, 2), 9, 7, "annulus", 8),
+    (3, (2, 1, 1, 0), (1, 0, 1, 1), 8, 10, "annulus", 8),
+])
+def test_theorem2_scan_matches_oracle_with_congruences(M, beta1p, beta2p, X1, X2,
+                                                        weights, min_points):
+    # l(beta1' beta2') = 0 mod M, so the congruence classes meet the kernel
+    assert all(x % M == 0 for x in ell(CycInt(*beta1p) * CycInt(*beta2p)))
+    cfg = ExperimentConfig(X1=X1, X2=X2, M=M, beta1p=beta1p, beta2p=beta2p)
+    if weights == "pair":
+        phi1, phi2 = ArchWeight.rotated_generic_pairs(1)[0]
+    else:
+        phi1 = phi2 = AnnularWeight.standard()
+    _assert_scan_matches_oracle(cfg, phi1, phi2, min_points)
+
+
+def test_theorem2_scan_degenerate_minor_and_zero_alpha():
+    # near zeta^2 the alpha1 = c2 z^2 + c3 z^3 have c0 = c1 = 0, so the minor
+    # of ell_matrix(alpha1) on columns (2, 3), -c1 c3 - c0^2, vanishes there
+    near_z2 = ArchWeight.generic(0.3, (0.0, 0.0, 1.0, 0.0))
+    cfg = ExperimentConfig(X1=9, X2=7)
+    pts, _ = _alpha1_candidates(cfg.X1, near_z2, cfg.congruence(), 1)
+    assert (~pts[:, :2].any(axis=1)).sum() >= 10
+    _assert_scan_matches_oracle(cfg, near_z2, near_z2, min_points=30)
+    # the annulus box holds alpha1 = 0, which the scan skips
+    ann = AnnularWeight.standard()
+    box = _box_axes(5.0, ann, (0, 0, 0, 0), 1)
+    assert all(0 in ax for ax in box)
+    _assert_scan_matches_oracle(ExperimentConfig(X1=5, X2=4), ann, ann, min_points=100)
+    _assert_scan_matches_oracle(ExperimentConfig(X1=5, X2=8), ann, near_z2)
+
+
+def test_theorem2_scan_chunking(monkeypatch):
+    # batches smaller than one free grid, and batches that split every minor
+    # group, give the same points as one batch
+    from qdl import experiments
+
+    phi1, phi2 = ArchWeight.rotated_generic_pairs(1)[0]
+    cfg = ExperimentConfig(X1=12, X2=10)
+    whole = _theorem2_scan(cfg, phi1, phi2)
+    for chunk in (1, 97):
+        monkeypatch.setattr(experiments, "_SCAN_CHUNK", chunk)
+        lhs, points = _theorem2_scan(cfg, phi1, phi2)
+        assert points == whole[1] > 100
+        assert abs(lhs - whole[0]) <= 1e-12 * whole[0]
+
+
+def test_kernel_points_match_integer_kernel_basis():
+    """For seeded alpha1 and boxes, the scan finds exactly the points
+    s b1 + t b2 of integer_kernel's basis that lie on the box's grid."""
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        M = int(rng.integers(1, 4))
+        alphas = rng.integers(-7, 8, size=(6, 4))
+        alphas[0] = 0                      # skipped by the scan
+        alphas[1] = (0, 0, 3, -2)          # vanishing (2, 3)-column minor
+        lo = rng.integers(-9, 3, size=4)
+        hi = lo + rng.integers(3, 12, size=4)
+        beta = rng.integers(0, M, size=4)
+        axes = [np.arange(a + (b - a) % M, h + 1, M, dtype=np.int64)
+                for a, h, b in zip(lo, hi, beta)]
+        rows, pts = _kernel_points(alphas, axes, M)
+        for r, a1 in enumerate(alphas.tolist()):
+            got = sorted(map(tuple, pts[rows == r].tolist()))
+            if not any(a1):
+                assert got == []
+                continue
+            basis = np.array(integer_kernel(ell_matrix(CycInt(*a1))), dtype=np.int64).T
+            assert basis.shape == (4, 2)
+            # |s|, |t| <= sum_k |pinv(basis)[., k]| max|x_k| on the box
+            reach = int(np.abs(np.linalg.pinv(basis)).sum(axis=1).max()
+                        * max(np.abs(lo).max(), np.abs(hi).max())) + 1
+            st = np.arange(-reach, reach + 1)
+            S, T = np.meshgrid(st, st, indexing="ij")
+            cand = (basis @ np.stack([S.ravel(), T.ravel()])).T
+            on = np.ones(len(cand), dtype=bool)
+            for c, ax in enumerate(axes):
+                on &= np.isin(cand[:, c], ax)
+            want = sorted(map(tuple, cand[on].tolist()))
+            assert got == want, (trial, a1, M)
+
+
+def test_theorem2_scan_int64_headroom():
+    # a weight box with coordinates up to 1e7 would overflow the scan's int64
+    huge = ArchWeight(tuple(make_bump(1e7 - 1, 1e7 + 1, "plain") for _ in range(4)))
+    with pytest.raises(ValueError, match="int64"):
+        theorem2_lhs(ExperimentConfig(X1=1, X2=1), huge, huge)
 
 
 def test_theorem2_lhs_swap_symmetry():
@@ -153,6 +267,17 @@ def test_sigma_infinity_vs_mollified_delta():
 def test_thm2_check_shape():
     cfg = ExperimentConfig(X1=8, X2=8, mc_samples=8000)
     rep = thm2_check(cfg, pair_count=3)
-    for key in ("lhs", "rhs", "diff", "budget", "pass"):
+    for key in ("lhs", "rhs", "diff", "budget", "pass", "pairs"):
         assert key in rep
     assert rep["rhs"] > 0
+    rows = rep["pairs"]
+    assert len(rows) == 3
+    assert math.isclose(sum(r["lhs"] for r in rows), rep["lhs"], rel_tol=1e-12)
+    assert math.isclose(sum(r["rhs"] for r in rows), rep["rhs"], rel_tol=1e-12)
+    assert math.isclose(sum(r["sigma_inf"] for r in rows), rep["sigma_inf_sum"],
+                        rel_tol=1e-12)
+    pairs = ArchWeight.rotated_generic_pairs(3, 0.3)
+    for r, (p1, p2) in zip(rows, pairs):
+        assert r["sigma_inf_se"] > 0
+        assert r["lhs"] == theorem2_lhs(cfg, p1, p2)
+        assert r["points"] == _pair_count(cfg, p1, p2)

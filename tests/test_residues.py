@@ -136,12 +136,31 @@ def test_norm_gcd_check_examples_and_sweep():
 
 
 def test_lemma_norm_sum_bound():
-    # sum over x mod p^k of N((x + zeta, p^k)) <= 4 p^k
+    """sum over x mod p^k of N((x + zeta, p^k)) = gcd(x^4 + 1, p^k), exactly.
+
+    Write gcd(x^4 + 1, p^k) = sum_{j <= min(v_p(x^4 + 1), k)} phi(p^j), with
+    phi(1) = 1, and swap the sums: the total is
+    sum_{j=0}^{k} phi(p^j) #{x mod p^k : p^j | x^4 + 1}.
+    * p odd: x^4 = -1 (mod p) needs an element of order 8 in F_p^*, so it has
+      r = 4 roots when p = 1 (mod 8) and r = 0 otherwise; each is simple
+      (4x^3 is a unit) and lifts uniquely mod p^j (Hensel), so the count at
+      j >= 1 is r p^(k-j), and the total is p^k + r k (p^k - p^(k-1)).
+    * p = 2: x^4 + 1 is odd for even x and 2 (mod 16) for odd x, so
+      v_2(x^4 + 1) <= 1 and the total is 2^k + 2^(k-1).
+    So the sum is at most (1 + 4k) p^k, and not at most 4 p^k: at p = 17,
+    k = 1 it is 17 + 4 * 16 = 81 > 68.
+    """
     for p in (2, 3, 5, 7, 17):
         for k in (1, 2, 3):
             q = p ** k
             total = sum(math.gcd(x ** 4 + 1, q) for x in range(q))
-            assert total <= 4 * q, (p, k, total)
+            if p == 2:
+                exact = q + q // 2
+            else:
+                r = 4 if p % 8 == 1 else 0
+                exact = q + r * k * (q - q // p)
+            assert total == exact, (p, k, total, exact)
+            assert total <= (1 + 4 * k) * q
             # spot-check the gcd shortcut against the lattice-index route
             for x in range(0, q, max(1, q // 5)):
                 assert ideal_norm([CycInt(x, 1), CycInt(q)]) == math.gcd(x ** 4 + 1, q)
