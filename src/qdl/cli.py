@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", type=float, default=1e-6)
 
     p = sub.add_parser("singular-series")
-    p.add_argument("--prime-cutoff", type=int, default=200_000)
-    p.add_argument("--tail", type=float, default=1e-6)
+    p.add_argument("--prime-cutoff", type=int, default=200_000,
+                   help="prime cutoff of the euler-product constants")
     p.add_argument("--method", choices=["euler-product", "partial-sum-fit", "both"],
                    default="both")
 
@@ -305,15 +305,10 @@ def dispatch(args) -> int:
         if args.method in ("euler-product", "both"):
             rep["euler_product"] = c_constants("euler-product", args.prime_cutoff)
         if args.method in ("partial-sum-fit", "both"):
-            rep["partial_sum_fit"] = c_constants("partial-sum-fit",
-                                                 min(args.prime_cutoff * 2, 400_000))
-        prod, err = sigma_p_product(cong, 300, args.tail)
-        rep["sigma_p_product"] = prod
-        rep["sigma_p_product_error"] = err
-        rep["per_prime"] = [
-            {"p": p, "sigma_p": sigma_p(p, cong, args.tail).value}
-            for p in sieve_primes(30)
-        ]
+            rep["partial_sum_fit"] = c_constants("partial-sum-fit")
+        rep["sigma_p_product"], rep["sigma_p_product_error"] = sigma_p_product(cong)
+        rep["per_prime"] = [{"p": p, "sigma_p": sigma_p(p, cong).value}
+                            for p in sieve_primes(30)]
         emit_json(rep, out)
         return 0
 
@@ -376,15 +371,12 @@ def dispatch(args) -> int:
         from .experiments import theorem1_report
         from .singular import c_constants, kappa
 
-        ep = c_constants("euler-product", 100_000)
-        ps = c_constants("partial-sum-fit", 300_000)
-        rep = theorem1_report(args.N_grid, kappa(), ps["c_minus1"], ps["c_0"],
-                              c_0_laurent=ep["c_0"])
+        ep, k = c_constants("euler-product", 100_000), kappa()
+        rep = theorem1_report(args.N_grid, k, ep["c_minus1"], ep["c_0"])
         emit_json({"grid": [{"N": r[0], "lhs": r[1], "main": r[2], "residual": r[3]}
                             for r in rep.grid],
                    "slope": rep.slope, "slope_ci": list(rep.slope_ci),
-                   "constants": {"kappa": kappa(), "partial_sum": ps, "euler": ep},
-                   "meta": rep.meta}, out)
+                   "constants": {"kappa": k, "euler": ep}}, out)
         return 0 if rep.slope < 0.5 else 2
 
     if cmd == "thm2-check":

@@ -16,7 +16,11 @@ OMEGA2_SUPPORT = (0.25, 4.0)
 
 # |N1~(p^k)| <= C * p^(2 m_p), |N1~(p^(k+1)) - N1~(p^k)| <= C * p^(4m_p - 2k - 2)
 PROP63_BOUND_C = 4.0          # calibrated max ~ 1.3 (full) on the criterion grid
-PROP63_DIFF_C = 8.0           # calibrated on p in {2,3,5}, k <= 6, M in {1,2}
+# calibrated on p in {2,3,5}, k <= 6, M in {1,2}; used only at p | M (sigma_p is
+# in closed form elsewhere).  At m_p = 0 and p = 1 (mod 8) it fails: the tail
+# C p^(-2k-2)/(1 - p^-2) is 1.10-1.55x short of the true error at all 12 such
+# p in [17, 281] (p = 17, k = 2: 4.84e-7 against 3.33e-7)
+PROP63_DIFF_C = 8.0
 
 # N2~(c, p^h; p^k) <= C (h+k+1) p^(2 m_p) and the matching difference bound
 PROP72_BOUND_C = 4.0

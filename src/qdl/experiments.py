@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt
 
 import numpy as np
@@ -51,7 +51,6 @@ class ExperimentConfig:
     beta2p: tuple[int, int, int, int] = (0, 0, 0, 0)
     mc_samples: int = 30_000
     seed: int = 1
-    prime_cutoff: int = 300
 
     def congruence(self) -> CongruenceData:
         return CongruenceData(self.M, CycRes(self.beta1p, self.M),
@@ -68,7 +67,6 @@ class FitReport:
     grid: list[tuple[float, float, float, float]]  # (scale, lhs, main, residual)
     slope: float
     slope_ci: tuple[float, float]
-    meta: dict = field(default_factory=dict)
 
 
 def fit_loglog(xs: list[float], ys: list[float]) -> tuple[float, tuple[float, float]]:
@@ -165,24 +163,16 @@ def theorem1_main_term(N: float, kappa: float, c_minus1: float, c_0: float) -> f
 
 
 def theorem1_report(n_grid: list[int], kappa: float, c_minus1: float,
-                    c_0_partial: float, c_0_laurent: float | None = None) -> FitReport:
+                    c_0: float) -> FitReport:
     """Residuals of the divisor-sum asymptotic over a grid of N, with the
     fitted log-log slope of |residual| (power saving check: slope < 1/2)."""
     rows = []
     for N in n_grid:
         lhs = divisor_sum(N)
-        main = theorem1_main_term(N, kappa, c_minus1, c_0_partial)
+        main = theorem1_main_term(N, kappa, c_minus1, c_0)
         rows.append((float(N), float(lhs), main, lhs - main))
     slope, ci = fit_loglog([r[0] for r in rows], [r[3] for r in rows])
-    meta = {"c_0_convention": "partial-sum"}
-    if c_0_laurent is not None:
-        rows2 = [(float(N), float(l), theorem1_main_term(N, kappa, c_minus1, c_0_laurent),
-                  float(l) - theorem1_main_term(N, kappa, c_minus1, c_0_laurent))
-                 for (N, l, _, _) in rows]
-        slope2, _ = fit_loglog([r[0] for r in rows2], [r[3] for r in rows2])
-        meta["laurent_slope"] = slope2
-        meta["laurent_residuals"] = [r[3] for r in rows2]
-    return FitReport(rows, slope, ci, meta)
+    return FitReport(rows, slope, ci)
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +441,23 @@ def _theorem2_scan(cfg: ExperimentConfig, phi1: ArchWeight,
     rows, pts2 = _kernel_points(pts1, _box_axes(cfg.X2, phi2, cong.beta2p.coords, cong.M),
                                 cong.M)
     w2 = phi2.eval_rows(pts2 / cfg.X2)
-    return float(w1[rows] @ w2), int(np.count_nonzero(w2))
+    lhs, points = float(w1[rows] @ w2), int(np.count_nonzero(w2))
+    zero = ~pts1.any(axis=1)
+    if zero.any():  # ell(0 alpha2) = 0: alpha1 = 0 pairs with all of phi2's grid
+        w2_grid = _alpha1_candidates(cfg.X2, phi2, cong, 2)[1]
+        lhs += float(w1[zero].sum()) * float(w2_grid.sum())
+        points += len(w2_grid)
+    return lhs, points
 
 
 def theorem2_lhs(cfg: ExperimentConfig, phi1: ArchWeight, phi2: ArchWeight) -> float:
     """sum over alpha1, alpha2 in O_K with ell(alpha1 alpha2) = 0 and the
     M-congruences of phi1(alpha1/X1) phi2(alpha2/X2).
 
-    alpha1 runs over phi1's box, skipping alpha1 = 0 (whose kernel is all of
-    O_K), and alpha2 over the rank-2 integer kernel of beta -> ell(alpha1 beta)
-    inside phi2's box, found by one exact batched scan (_kernel_points).
+    alpha1 runs over phi1's box, and alpha2 over the rank-2 integer kernel of
+    beta -> ell(alpha1 beta) inside phi2's box, found by one exact batched scan
+    (_kernel_points).  The kernel at alpha1 = 0 is all of O_K, so that term is
+    phi1(0) times the sum of phi2 over its congruence grid.
     """
     return _theorem2_scan(cfg, phi1, phi2)[0]
 
@@ -478,8 +475,12 @@ def theorem2_lhs_oracle(cfg: ExperimentConfig, phi1: ArchWeight, phi2: ArchWeigh
     return total
 
 
+# Gauss-Legendre nodes per axis of sigma_infinity's inner integral
+_GL_NODES = 24
+
+
 def sigma_infinity(phi1: ArchWeight, phi2: ArchWeight, mc_samples: int = 30_000,
-                   seed: int = 1, gl_nodes: int = 24) -> tuple[float, float]:
+                   seed: int = 1) -> tuple[float, float]:
     """sigma_inf = int phi1(x1) phi2(x2) delta(ell(x1 x2)) dx1 dx2.
 
     Outer Monte Carlo over the phi1 box; for each sample the two delta
@@ -490,7 +491,7 @@ def sigma_infinity(phi1: ArchWeight, phi2: ArchWeight, mc_samples: int = 30_000,
     rng = np.random.default_rng(seed)
     boxes = phi1.boxes
     vol = float(np.prod([hi - lo for lo, hi in boxes]))
-    nodes, wts = np.polynomial.legendre.leggauss(gl_nodes)
+    nodes, wts = np.polynomial.legendre.leggauss(_GL_NODES)
     R2 = math.sqrt(sum(max(abs(lo), abs(hi)) ** 2 for lo, hi in phi2.boxes))
     # plane grid on [-R2, R2]^2
     u = nodes * R2
@@ -525,7 +526,7 @@ def thm2_check(cfg: ExperimentConfig, pair_count: int = 12,
     and the number of lattice pairs (alpha1, alpha2) with nonzero weight.
     """
     pairs = ArchWeight.rotated_generic_pairs(pair_count, radius)
-    prod, prod_err = sigma_p_product(cfg.congruence(), cfg.prime_cutoff)
+    prod, prod_err = sigma_p_product(cfg.congruence())
     scale = cfg.X1 ** 2 * cfg.X2 ** 2
     lhs = 0.0
     s_tot, var_tot = 0.0, 0.0

@@ -3,9 +3,9 @@
 The zero-frequency densities live here:
 
 * sigma_p          -- limit of p^-6k #{pairs mod p^k: ell(b1 b2) = 0 (p^k),
-                      b_i = b_i' (p^m_p)}; its product over p (times M^2) is
-                      the value at 0 of the Moebius-differenced Dirichlet
-                      series of N1~.
+                      b_i = b_i' (p^m_p)}, in closed form at p not dividing M;
+                      its product over p (times M^2) is the value at 0 of the
+                      Moebius-differenced Dirichlet series of N1~.
 * sigma_p_cd       -- the (c, d)-twisted density with the det congruence,
                       truncated with a certified tail.
 * tau_p            -- the character-sum form (1/(v1,v2,p^inf)) sum_k S_p(v;k);
@@ -81,30 +81,46 @@ def n1_star(q: int, cong: CongruenceData, ell_modulus: str = "reduced") -> float
     return total
 
 
+def _sigma_p_coprime(p: np.ndarray) -> np.ndarray:
+    """sigma_p at primes p not dividing M, for an array of primes: 4/3 at p = 2,
+    1 + p^-2 + 4/(p+1)^2 at p = 1 (mod 8), 1 + p^-2 at the other odd p.
+
+    There N1~(p^e) = _kernel_size_total(p, e) / p^(4e), whatever beta' is, and with x = p^-2
+
+        N1~(p^e) = 1 + sum_{j <= e} x^j ((1 - x) + (1 - 1/p)^2 R(j)),
+
+    R(j) the number of pairs (t, u) with 1 <= t <= j and u^4 = -1 (mod p^t): 4j at
+    p = 1 (mod 8), 1 at p = 2, else 0.  The limit e -> oo is the closed form above.
+    """
+    pf = p.astype(float)
+    split = np.where(p % 8 == 1, 4 / (pf + 1) ** 2, 0.0)
+    return np.where(p == 2, 4 / 3, 1 + pf ** -2 + split)
+
+
 def sigma_p(p: int, cong: CongruenceData, target_tail: float = 1e-6,
             cap_to_budget: bool = False) -> LocalDensityEstimate:
-    """Zero-frequency local density at p, truncated with a certified tail.
+    """Zero-frequency local density at p.
 
-    The truncations are N1~(p^k) in the full-modulus convention; successive
-    differences obey |N1~(p^(k+1)) - N1~(p^k)| <= C p^(4 m_p - 2k - 2), so the
-    tail after level k is C p^(4 m_p - 2k - 2) / (1 - p^-2).
-
-    At primes dividing M the count uses the generic character-sum path whose
-    cost grows like p^(2k); with cap_to_budget the truncation stops at the
+    At p not dividing M: the closed form _sigma_p_coprime, with truncation_k 0
+    and tail_bound 0.  At p | M: the truncation N1~(p^k) in the full-modulus
+    convention, with |N1~(p^(k+1)) - N1~(p^k)| <= C p^(4 m_p - 2k - 2) (C the
+    frozen C.PROP63_DIFF_C), so the tail after level k is that over 1 - p^-2.
+    Its count costs like p^(2k); with cap_to_budget the truncation stops at the
     budget and the (larger) achieved tail is certified instead of raising.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     m = vp(cong.M, p)
-    Cd = C.PROP63_DIFF_C
+    if m == 0:
+        return LocalDensityEstimate(p, float(_sigma_p_coprime(np.array([p]))[0]), 0, 0.0,
+                                    "sigma_p")
 
     def tail(k: int) -> float:
-        return Cd * p ** (4 * m - 2 * k - 2) / (1 - p ** -2)
+        return C.PROP63_DIFF_C * p ** (4 * m - 2 * k - 2) / (1 - p ** -2)
 
-    # budget: closed-form path (p coprime to M) is cheap; the generic path
-    # enumerates p^(2k) character sums
-    kmax = 13 if m == 0 else max(1, int(math.log(65536, p) / 2))
-    k = max(1, m)
+    # budget: the generic path enumerates p^(2k) character sums
+    kmax = max(1, int(math.log(65536, p) / 2))
+    k = m
     while tail(k) > target_tail and k < kmax:
         k += 1
     if tail(k) > target_tail and not cap_to_budget:
@@ -113,24 +129,24 @@ def sigma_p(p: int, cong: CongruenceData, target_tail: float = 1e-6,
     return LocalDensityEstimate(p, val, k, tail(k), "sigma_p")
 
 
-def sigma_p_product(cong: CongruenceData, prime_cutoff: int = 300,
-                    target_tail: float = 1e-6) -> tuple[float, float]:
-    """prod_{p <= cutoff} sigma_p with a combined relative error estimate.
+def sigma_p_product(cong: CongruenceData) -> tuple[float, float]:
+    """prod_p sigma_p and its error.
 
-    The tail over p > cutoff uses sigma_p = 1 + O(1/p^2) (quantitatively
-    |sigma_p - 1| <= 6/p^2 on every prime computed, which the per-prime
-    estimates confirm); the reported error adds the truncation tails.
+    The closed form at p not dividing M over p <= P = 2e5, in one numpy pass,
+    times the truncated sigma_p(p, cong, cap_to_budget=True) at p | M.
+    Each omitted factor obeys 1 < sigma_p < 1 + 5/p^2, and sum_{p > P} 1/p^2
+    <= 2.03248 / (P log P) (Rosser-Schoenfeld, as in c_constants), so the
+    omitted product lies in [1, e^T] with T = 5 * 2.03248 / (P log P).  With
+    |sigma_p - v_p| <= t_p at p | M the error is at most
+    c (e^T prod (v_p + t_p) - prod v_p), c the product of the closed forms.
     """
-    prod = 1.0
-    err = 0.0
-    for p in sieve_primes(prime_cutoff):
-        est = sigma_p(p, cong, target_tail=target_tail, cap_to_budget=True)
-        prod *= est.value
-        err += est.tail_bound / max(est.value, 1e-12)
-    # prime tail: sum_{p > P} 6/p^2 <= 6/(P log P) roughly; integrate crudely
-    P = prime_cutoff
-    err += 8.0 / (P * math.log(P))
-    return prod, err * prod
+    P = 200_000
+    p = np.array(sieve_primes(P))
+    lo = hi = math.exp(math.fsum(np.log(_sigma_p_coprime(p[cong.M % p != 0]))))
+    for q in factorize(cong.M):
+        est = sigma_p(q, cong, cap_to_budget=True)
+        lo, hi = lo * est.value, hi * (est.value + est.tail_bound)
+    return lo, hi * math.exp(5 * 2.03248 / (P * math.log(P))) - lo
 
 
 def tau_p(v: Vec2Int, p: int, target_tail: float = 1e-6,
@@ -446,36 +462,23 @@ def c_constants(method: str = "euler-product", budget: int | None = None) -> dic
 
 
 def _rho_partial_sums(Q: int) -> tuple[np.ndarray, np.ndarray]:
-    """A(Q_i) = sum_{q <= Q_i} rho(q)/q^2 on a geometric grid of checkpoints."""
-    spf = np.zeros(Q + 1, dtype=np.int64)
-    for p in range(2, int(math.isqrt(Q)) + 1):
-        if spf[p] == 0:
-            idx = np.arange(p * p, Q + 1, p)
-            idx = idx[spf[idx] == 0]
-            spf[idx] = p
+    """A(Q_i) = sum_{q <= Q_i} rho(q)/q^2 on a geometric grid of checkpoints.
+
+    rho by a multiplicative sieve: multiples of p^k trade rho(p^(k-1)) for
+    rho(p^k).  rho(q) and q^2 are exact floats and np.cumsum adds in q order.
+    """
+    rho_q = np.ones(Q + 1, dtype=np.int64)
+    for p in sieve_primes(Q):
+        pk, k, prev = p, 1, 1
+        while pk <= Q:
+            cur = rho_prime_power(p, k)
+            if cur != prev:
+                rho_q[pk::pk] = rho_q[pk::pk] // prev * cur
+            pk, k, prev = pk * p, k + 1, cur
+    q = np.arange(1, Q + 1, dtype=float)
+    A = np.cumsum(rho_q[1:] / q ** 2)
     checkpoints = sorted(set(int(round(Q ** (i / 40))) for i in range(20, 41)) - {0, 1})
-    out_q, out_a = [], []
-    acc = 0.0
-    ci = 0
-    for q in range(1, Q + 1):
-        acc += _rho_from_spf(q, spf) / q ** 2
-        while ci < len(checkpoints) and q == checkpoints[ci]:
-            out_q.append(q)
-            out_a.append(acc)
-            ci += 1
-    return np.array(out_a), np.array(out_q, dtype=float)
-
-
-def _rho_from_spf(q: int, spf: np.ndarray) -> int:
-    out = 1
-    while q > 1:
-        p = spf[q] if spf[q] else q
-        k = 0
-        while q % p == 0:
-            q //= p
-            k += 1
-        out *= rho_prime_power(int(p), k)
-    return out
+    return A[np.array(checkpoints) - 1], np.array(checkpoints, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -236,13 +236,11 @@ def test_criterion_08_theorem1_desk_scale():
     for N in (10 ** 2, 10 ** 3, 10 ** 4):
         assert divisor_sum(N) == divisor_sum_sieve_oracle(N)
     ep = c_constants("euler-product", 100_000)
-    ps = c_constants("partial-sum-fit", 400_000)
     rep = theorem1_report([10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7, 10 ** 8],
-                          kappa(), ps["c_minus1"], ps["c_0"], c_0_laurent=ep["c_0"])
+                          kappa(), ep["c_minus1"], ep["c_0"])
     ok = rep.slope < 0.5
     assert report(8, ok, f"residual slope {rep.slope:.3f} (CI {rep.slope_ci[0]:.3f}.."
-                         f"{rep.slope_ci[1]:.3f}), oracle exact at N <= 1e4; "
-                         f"laurent-convention slope {rep.meta['laurent_slope']:.3f}")
+                         f"{rep.slope_ci[1]:.3f}), oracle exact at N <= 1e4")
 
 
 @pytest.mark.slow

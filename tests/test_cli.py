@@ -50,6 +50,24 @@ def test_singular_series_euler_product_is_byte_stable():
         "c_0", "c_0_error", "c_minus1", "c_minus1_error", "method", "prime_cutoff"}
 
 
+def test_singular_series_fit_runs_at_its_own_q():
+    r = run_cli("singular-series", "--method", "partial-sum-fit", "--prime-cutoff", "1000")
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["partial_sum_fit"]["Q"] == 400_000 and "euler_product" not in rep
+
+
+def test_thm1_report_stdout_is_byte_stable():
+    runs = [run_cli("thm1-report", "--N-grid", "10000", "100000", "1000000")
+            for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    rep = json.loads(runs[0].stdout)
+    assert set(rep) == {"constants", "grid", "slope", "slope_ci"}
+    assert set(rep["constants"]) == {"euler", "kappa"}
+    assert rep["constants"]["euler"]["prime_cutoff"] == 100_000
+
+
 def test_json_determinism(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     r1 = run_cli("--out", str(p1), "--seed", "7", "sigma-p", "--p", "5")

@@ -24,7 +24,7 @@ def _pair_count(cfg, phi1, phi2):
     pts1, _ = _alpha1_candidates(cfg.X1, phi1, cong, 1)
     pts2, _ = _alpha1_candidates(cfg.X2, phi2, cong, 2)
     return sum(int((~(pts2 @ np.array(ell_matrix(CycInt(*a)), dtype=np.int64).T)
-                    .any(axis=1)).sum()) for a in pts1.tolist() if any(a))
+                    .any(axis=1)).sum()) for a in pts1.tolist())
 
 
 def _assert_scan_matches_oracle(cfg, phi1, phi2, min_points=1):
@@ -131,12 +131,25 @@ def test_theorem2_scan_degenerate_minor_and_zero_alpha():
     pts, _ = _alpha1_candidates(cfg.X1, near_z2, cfg.congruence(), 1)
     assert (~pts[:, :2].any(axis=1)).sum() >= 10
     _assert_scan_matches_oracle(cfg, near_z2, near_z2, min_points=30)
-    # the annulus box holds alpha1 = 0, which the scan skips
+    # the annulus box holds alpha1 = 0, where the annular weight vanishes
     ann = AnnularWeight.standard()
     box = _box_axes(5.0, ann, (0, 0, 0, 0), 1)
     assert all(0 in ax for ax in box)
     _assert_scan_matches_oracle(ExperimentConfig(X1=5, X2=4), ann, ann, min_points=100)
     _assert_scan_matches_oracle(ExperimentConfig(X1=5, X2=8), ann, near_z2)
+
+
+def test_theorem2_scan_counts_zero_alpha1():
+    # a weight with phi1(0) > 0: alpha1 = 0 pairs with every alpha2 on phi2's grid
+    at_zero = ArchWeight.generic(0.3, (0, 0, 0, 0))
+    for cfg in (ExperimentConfig(X1=4, X2=4),
+                ExperimentConfig(X1=4, X2=5, M=2, beta2p=(1, 0, 1, 0))):
+        pts, _ = _alpha1_candidates(cfg.X1, at_zero, cfg.congruence(), 1)
+        assert (~pts.any(axis=1)).sum() == 1
+        _assert_scan_matches_oracle(cfg, at_zero, at_zero, min_points=1)
+        _assert_scan_matches_oracle(cfg, at_zero, PHI, min_points=1)
+    lhs = theorem2_lhs(ExperimentConfig(X1=4, X2=4), at_zero, at_zero)
+    assert abs(lhs - 1.001804) < 1e-6, lhs
 
 
 def test_theorem2_scan_chunking(monkeypatch):

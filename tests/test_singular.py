@@ -5,11 +5,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from qdl import constants as C
+from qdl.counts import _kernel_size_total
 from qdl.cyclotomic import CycInt, CycRes, Vec2Int
 from qdl.expsums import CongruenceData, n1_tilde
-from qdl.residues import rho_prime_power, sieve_primes
+from qdl.residues import rho, rho_prime_power, sieve_primes, vp
 from qdl.singular import (_l_values_at_1, _log_h_factors, _log_local_factors,
-                          _pole_coefficients, c_constants, kappa,
+                          _pole_coefficients, _rho_partial_sums, _sigma_p_coprime,
+                          c_constants, kappa,
                           kappa_montecarlo, kappa_polar,
                           lemma94_check, n1_star, omega_mellin_at_1,
                           radial_delta_line_integral, s_hat, s_vq, sigma_p,
@@ -325,11 +328,79 @@ def test_partial_sum_fit_covers_the_limits():
         assert abs(r["c_0"] - deep["c_0"]) <= r["c_0_error"], (Q, r)
 
 
-def test_sigma_p_product_stabilizes():
-    p1, e1 = sigma_p_product(TRIV, 100)
-    p2, e2 = sigma_p_product(TRIV, 300)
-    assert abs(p1 - p2) <= e1 + e2
-    assert p2 > 0 and e2 < e1
+def _sigma_p_limit_and_tail(p, e):
+    """(sigma_p, sigma_p - N1~(p^e)) as Fractions, from the closed form and the
+    geometric series it sums (see singular._sigma_p_coprime), x = p^-2."""
+    x = Fraction(1, p * p)
+    if p == 2:
+        sigma, rest = Fraction(4, 3), x ** (e + 1) / (1 - x)
+    elif p % 8 == 1:
+        sigma = 1 + x + Fraction(4, (p + 1) ** 2)
+        rest = 4 * x ** (e + 1) * ((e + 1) - e * x) / (1 - x) ** 2
+    else:
+        sigma, rest = 1 + x, 0
+    return sigma, x ** (e + 1) + (1 - Fraction(1, p)) ** 2 * rest
+
+
+def test_sigma_p_closed_form_matches_kernel_limit():
+    # N1~(p^e) = _kernel_size_total(p, e) / p^(4e) exactly equals sigma_p less a
+    # tail that is O(e p^-2e), so sigma_p is its limit
+    for p in sieve_primes(300):
+        sigma, _ = _sigma_p_limit_and_tail(p, 1)
+        value = float(_sigma_p_coprime(np.array([p]))[0])
+        assert abs(value - sigma) <= 1e-15 * sigma, p
+        est = sigma_p(p, CONG2 if p > 2 else TRIV)
+        assert (est.value, est.truncation_k, est.tail_bound) == (value, 0, 0.0), p
+        for e in range(1, 9):
+            sigma, tail = _sigma_p_limit_and_tail(p, e)
+            assert Fraction(_kernel_size_total(p, e), p ** (4 * e)) == sigma - tail, (p, e)
+            assert 0 <= tail <= Fraction(e + 2, p ** (2 * e)), (p, e)
+    # the count sigma_p used to truncate is that same ratio
+    for p, k in ((2, 5), (3, 3), (17, 2)):
+        assert n1_tilde(p ** k, TRIV, "full") == float(
+            Fraction(_kernel_size_total(p, k), p ** (4 * k)))
+
+
+def _sigma_p_product_by_truncation(cong, P=300, target_tail=1e-6):
+    """The per-prime route: N1~(p^k) at every p <= P, k set by the tail
+    C p^(4m - 2k - 2) / (1 - p^-2), and 8/(P log P) for the primes above P."""
+    prod, err = 1.0, 0.0
+    for p in sieve_primes(P):
+        m = vp(cong.M, p)
+
+        def tail(k):
+            return C.PROP63_DIFF_C * p ** (4 * m - 2 * k - 2) / (1 - p ** -2)
+
+        kmax = 13 if m == 0 else max(1, int(math.log(65536, p) / 2))
+        k = max(1, m)
+        while tail(k) > target_tail and k < kmax:
+            k += 1
+        val = n1_tilde(p ** k, cong, "full")
+        prod *= val
+        err += tail(k) / max(val, 1e-12)
+    return prod, (err + 8.0 / (P * math.log(P))) * prod
+
+
+@pytest.mark.parametrize("cong", [TRIV, CONG2], ids=["M1", "M2"])
+def test_sigma_p_product_matches_truncated_route(cong):
+    new, new_err = sigma_p_product(cong)
+    old, old_err = _sigma_p_product_by_truncation(cong)
+    assert abs(new - old) <= old_err, (new, old, old_err)
+    assert 0 < new_err < old_err
+    if cong.M == 1:
+        # the error covers the product over p <= 1e6, five times the cutoff
+        deep = math.exp(math.fsum(np.log(_sigma_p_coprime(np.array(sieve_primes(10 ** 6))))))
+        assert abs(new - deep) <= new_err and new_err <= 5e-6 * new, (new, deep, new_err)
+
+
+def test_rho_partial_sums_match_direct_sum():
+    A, qs = _rho_partial_sums(3000)
+    acc, direct = 0.0, {}
+    for q in range(1, 3001):
+        acc += rho(q) / q ** 2
+        direct[q] = acc
+    assert qs[-1] == 3000 and len(qs) == len(set(qs.tolist()))
+    assert A.tolist() == [direct[int(q)] for q in qs]
 
 
 def test_lemma94():
