@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,13 +29,6 @@ from . import InvariantError
 class Vec2Int(NamedTuple):
     v1: int
     v2: int
-
-
-def det2(c: Iterable[int], n: Iterable[int]) -> int:
-    """det(c, n) = c1*n2 - c2*n1."""
-    c1, c2 = c
-    n1, n2 = n
-    return c1 * n2 - c2 * n1
 
 
 def _negacyclic(c0, c1, c2, c3):
@@ -89,19 +82,12 @@ class CycInt:
     def scalar_divisible(self, m: int) -> bool:
         return all(x % m == 0 for x in self.coords())
 
-    def to_json(self) -> list[int]:
-        return [self.c0, self.c1, self.c2, self.c3]
-
     def __repr__(self) -> str:
         return f"CycInt({self.c0}, {self.c1}, {self.c2}, {self.c3})"
 
 
 ZETA = CycInt(0, 1, 0, 0)
 ONE = CycInt(1, 0, 0, 0)
-
-
-def mul(a: CycInt, b: CycInt) -> CycInt:
-    return a * b
 
 
 def mult_matrix(a: CycInt) -> list[list[int]]:

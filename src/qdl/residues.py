@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
+
+import numpy as np
 
 from .cyclotomic import CycInt, mult_matrix
 from .linalg import lattice_index
@@ -35,16 +37,15 @@ class HenselDepthExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def sieve_primes(limit: int) -> list[int]:
+    """The primes p <= limit, ascending, as Python ints."""
     if limit < 2:
         return []
-    is_comp = bytearray(limit + 1)
-    primes = []
-    for n in range(2, limit + 1):
-        if not is_comp[n]:
-            primes.append(n)
-            for m in range(n * n, limit + 1, n):
-                is_comp[m] = 1
-    return primes
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for n in range(2, isqrt(limit) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = False
+    return np.flatnonzero(sieve).tolist()
 
 
 def is_prime(n: int) -> bool:

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdl.cyclotomic import (CycInt, CycRes, GRAM, ONE, ZETA, abs_inf, conj_star,
-                            det2, ell, embed, embeddings, mul, mult_matrices, mult_matrix,
-                            norm, sup_norm, sup_norms, trace_pair, unembed)
+from qdl.cyclotomic import (CycInt, CycRes, GRAM, ONE, ZETA, abs_inf, conj_star, ell,
+                            embed, embeddings, mult_matrices, mult_matrix, norm, sup_norm,
+                            sup_norms, trace_pair, unembed)
 
 coords = st.tuples(*[st.integers(-50, 50)] * 4)
 
 
 def test_mul_examples():
-    assert mul(CycInt(1, 1), CycInt(1, -1)) == CycInt(1, 0, -1, 0)
-    assert mul(ZETA, ZETA * ZETA * ZETA) == CycInt(-1)
-    assert mul(CycInt(1, 1), CycInt(1, -1, 1, -1)) == CycInt(2)
+    assert CycInt(1, 1) * CycInt(1, -1) == CycInt(1, 0, -1, 0)
+    assert ZETA * (ZETA * ZETA * ZETA) == CycInt(-1)
+    assert CycInt(1, 1) * CycInt(1, -1, 1, -1) == CycInt(2)
 
 
 def test_norm_examples():
@@ -206,12 +206,3 @@ def test_checks_survive_optimized_mode():
     r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["ValueError", "97"]
-
-
-def test_det2():
-    assert det2((1, 0), (3, 5)) == 5
-    assert det2((2, 1), (4, 2)) == 0
-
-
-def test_json_serialization():
-    assert CycInt(1, -2, 3, -4).to_json() == [1, -2, 3, -4]

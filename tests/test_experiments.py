@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qdl import constants as C
-from qdl.cyclotomic import CycInt, ell, ell_matrix
+from qdl import experiments
+from qdl.cyclotomic import CycInt, ell, ell_matrices, ell_matrix
 from qdl.experiments import (AnnularWeight, ArchWeight, ExperimentConfig, _alpha1_candidates,
-                             _box_axes, _kernel_points, _theorem2_scan,
+                             _box_axes, _inner_integrals, _kernel_points, _theorem2_scan,
                              divisor_sum, divisor_sum_sieve_oracle, fit_loglog,
                              level_of_distribution, prop5_decomposition_check,
                              sigma_infinity, theorem1_main_term, theorem1_report,
@@ -234,6 +235,64 @@ def test_sigma_infinity_positive_and_stable():
     # swap invariance of the density (same weights)
     s3, e3 = sigma_infinity(PHI, PHI, 4000, 3)
     assert abs(s1 - s3) < 4 * (e1 + e3)
+
+
+def _sigma_samples(count=6, per_pair=8):
+    """(phi2, x1 samples with phi1(x1) > 0) for the first count rotated pairs."""
+    rng = np.random.default_rng(7)
+    out = []
+    for phi1, phi2 in ArchWeight.rotated_generic_pairs(count, 0.3):
+        lo, hi = np.array(phi1.boxes).T
+        x1 = rng.uniform(lo, hi, size=(4 * per_pair, 4))
+        out.append((phi2, x1[phi1.eval_rows(x1) > 0][:per_pair]))
+    return out
+
+
+def _inner_integrals_svd(phi2, x1, nodes=96):
+    """The inner integral by the kernel-plane route: an orthonormal basis
+    (e1, e2) of ker ell(x1 .) from the SVD, the coarea factor 1/(s1 s2), and
+    a Gauss-Legendre product rule on the rectangle of (e1.x, e2.x) over
+    phi2's box, which holds every point where the plane meets the box."""
+    lo, hi = np.array(phi2.boxes).T
+    t, wt = np.polynomial.legendre.leggauss(nodes)
+    out = []
+    for A in ell_matrices(x1):
+        _, s, vt = np.linalg.svd(A)
+        e = vt[2:]
+        elo = np.minimum(e * lo, e * hi).sum(axis=1)
+        ehi = np.maximum(e * lo, e * hi).sum(axis=1)
+        mid, half = (elo + ehi) / 2, (ehi - elo) / 2
+        a, b = (g.ravel() for g in np.meshgrid(mid[0] + half[0] * t, mid[1] + half[1] * t,
+                                               indexing="ij"))
+        f = phi2.eval_rows(a[:, None] * e[0] + b[:, None] * e[1])
+        out.append(float(f @ np.outer(wt, wt).ravel()) * half[0] * half[1] / (s[0] * s[1]))
+    return np.array(out)
+
+
+def test_sigma_infinity_inner_integral_matches_svd_route():
+    for phi2, x1 in _sigma_samples():
+        assert len(x1) == 8
+        new = _inner_integrals(phi2, x1)
+        old = _inner_integrals_svd(phi2, x1)
+        assert np.abs(new - old).max() <= 1e-5 * old.max(), np.abs(new - old).max() / old.max()
+
+
+def test_sigma_infinity_inner_integral_node_doubling(monkeypatch):
+    batches = _sigma_samples()
+    at32 = [_inner_integrals(phi2, x1) for phi2, x1 in batches]
+    monkeypatch.setattr(experiments, "_INNER_NODES", 64)
+    for (phi2, x1), coarse in zip(batches, at32):
+        fine = _inner_integrals(phi2, x1)
+        assert np.abs(fine - coarse).max() <= 1e-5 * fine.max()
+
+
+def test_sigma_infinity_chunking_is_exact(monkeypatch):
+    phi1, phi2 = ArchWeight.rotated_generic_pairs(2, 0.3)[1]
+    want = sigma_infinity(phi1, phi2, 250, 5)
+    assert want[1] > 0
+    for chunk in (1, 97):
+        monkeypatch.setattr(experiments, "_INNER_CHUNK", chunk)
+        assert sigma_infinity(phi1, phi2, 250, 5) == want, chunk
 
 
 def test_prop5_support_vanishing():

@@ -91,6 +91,27 @@ def test_rho_examples_and_multiplicativity():
                 assert rho(q1 * q2) == rho(q1) * rho(q2)
 
 
+def _sieve_primes_loop(limit):
+    """The pure-Python Eratosthenes loop sieve_primes replaced, as its oracle."""
+    if limit < 2:
+        return []
+    is_comp = bytearray(limit + 1)
+    primes = []
+    for n in range(2, limit + 1):
+        if not is_comp[n]:
+            primes.append(n)
+            for m in range(n * n, limit + 1, n):
+                is_comp[m] = 1
+    return primes
+
+
+def test_sieve_primes_matches_loop_oracle():
+    for limit in list(range(-1, 301)) + [10 ** 5]:
+        got = sieve_primes(limit)
+        assert got == _sieve_primes_loop(limit), limit
+        assert all(type(p) is int for p in got)
+
+
 @pytest.mark.slow
 def test_rho_prime_power_recursion_vs_exhaustive():
     for p in sieve_primes(100):
