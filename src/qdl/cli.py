@@ -314,18 +314,14 @@ def dispatch(args) -> int:
 
     if cmd == "lambda":
         from .dedekind import classify
-        from .residues import IntPoly, roots_mod_p, sieve_primes
+        from .residues import IntPoly, root_counts, sieve_primes
 
         desc = classify(IntPoly(*args.f))
         if desc.galois_type != "S3":
             print(f"cubic is {desc.galois_type}, not S3", file=sys.stderr)
             return 1
-        rows = []
-        for p in sieve_primes(args.pmax):
-            if p in desc.bad_primes:
-                continue
-            nroots = len(roots_mod_p(desc.f, p))
-            rows.append((p, nroots, nroots - 1))
+        primes = [p for p in sieve_primes(args.pmax) if p not in desc.bad_primes]
+        rows = [(p, n, n - 1) for p, n in zip(primes, root_counts(desc.f, primes).tolist())]
         emit_tsv(["p", "num_roots", "lambda"], rows, out)
         return 0
 

@@ -23,7 +23,8 @@ from math import gcd, isqrt
 import numpy as np
 
 from .cyclotomic import sup_norms
-from .residues import IntPoly, divisors, factorize, is_prime, roots_mod_p, sieve_primes
+from .residues import (IntPoly, divisors, factorize, is_prime, root_counts, roots_mod_p,
+                       sieve_primes)
 
 GALOIS_SWEEP_YMAX = 60
 
@@ -172,43 +173,45 @@ def hecke_check(desc: CubicFieldDesc, p: int, kmax: int = 6) -> bool:
 def rankin_partial(d1: CubicFieldDesc, d2: CubicFieldDesc, Q: float, B: int,
                    phi) -> float:
     """sum over squarefree q coprime to B and both bad-prime sets of
-    lambda_1(q) lambda_2(q) phi(q/Q)."""
+    lambda_1(q) lambda_2(q) phi(q/Q), for a BumpWeight phi.
+
+    The terms are the integers lambda_1 lambda_2 times phi, summed with
+    math.fsum, so the result is correctly rounded in any order.
+    """
     if d1.galois_type != "S3" or d2.galois_type != "S3":
         raise ValueError("rankin_partial requires S3 cubics")
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
+    if not Q > 0:
+        raise ValueError(f"Q must be > 0, got {Q}")
     qmax = int(math.ceil(2.0 * Q)) + 1  # phi supported within [lo, hi] <= [?, 2]
-    lam1 = _lambda_vector(d1, qmax)
-    lam2 = lam1 if d2 is d1 else _lambda_vector(d2, qmax)
-    bad = set(d1.bad_primes) | set(d2.bad_primes) | set(factorize(B)) if B > 1 else \
-        set(d1.bad_primes) | set(d2.bad_primes)
-    sf, ok = _squarefree_coprime_mask(qmax, bad)
-    total = 0.0
-    for q in range(1, qmax + 1):
-        w = phi(q / Q)
-        if w and sf[q] and ok[q]:
-            total += lam1[q] * lam2[q] * w
-    return total
+    primes = np.array(sieve_primes(qmax), dtype=np.int64)
+    lam1 = _lambda_vector(d1, primes, qmax)
+    lam2 = lam1 if d2 is d1 else _lambda_vector(d2, primes, qmax)
+    bad = d1.bad_primes | d2.bad_primes | set(factorize(B))
+    q = np.flatnonzero(_squarefree_coprime_mask(primes, qmax, bad))
+    return math.fsum(lam1[q] * lam2[q] * phi.eval_rows(q / Q))
 
 
-def _lambda_vector(desc: CubicFieldDesc, qmax: int) -> np.ndarray:
-    """lambda(q) for squarefree q <= qmax (garbage elsewhere), via a prime sieve."""
+def _lambda_vector(desc: CubicFieldDesc, primes: np.ndarray, qmax: int) -> np.ndarray:
+    """lambda(q) for squarefree q <= qmax (garbage elsewhere), from the primes
+    p <= qmax and their root counts."""
+    good = primes[~np.isin(primes, list(desc.bad_primes))]
     lam = np.ones(qmax + 1, dtype=np.int64)
-    for p in sieve_primes(qmax):
-        if p in desc.bad_primes:
-            continue
-        lp = -1 + len(roots_mod_p(desc.f, p))
+    for p, lp in zip(good.tolist(), (root_counts(desc.f, good) - 1).tolist()):
         lam[p::p] *= lp
     return lam
 
 
-def _squarefree_coprime_mask(qmax: int, bad: set[int]) -> tuple[np.ndarray, np.ndarray]:
-    sf = np.ones(qmax + 1, dtype=bool)
-    for p in sieve_primes(isqrt(qmax)):
-        sf[p * p::p * p] = False
-    ok = np.ones(qmax + 1, dtype=bool)
+def _squarefree_coprime_mask(primes: np.ndarray, qmax: int, bad) -> np.ndarray:
+    """The q in [0, qmax] that are squarefree, positive and prime to bad."""
+    keep = np.ones(qmax + 1, dtype=bool)
+    keep[0] = False
+    for p in primes[primes * primes <= qmax].tolist():
+        keep[p * p::p * p] = False
     for p in bad:
-        ok[p::p] = False
-    sf[0] = ok[0] = False
-    return sf, ok
+        keep[p::p] = False
+    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,76 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     return _roots_mod_p_large(cs, p)
 
 
+ROOT_COUNTS_PMAX = 2 ** 31  # residues < 2^31 keep every int64 product exact
+
+
+def root_counts(f: IntPoly, primes) -> np.ndarray:
+    """#roots of f mod p for every p in an array of primes, as int64.
+
+    At p not dividing 2 a3 disc(f), f is a separable cubic mod p: by
+    Stickelberger it has one root when disc is a non-residue (Euler's
+    criterion), and otherwise three roots when x^p = x mod (f, p), none when
+    not.  x^p is raised by square-and-multiply on degree-<= 2 residues,
+    batched over all such primes and reduced by the monic f / a3.  The
+    finitely many primes dividing 2 a3 disc(f) (all of them when a3 = 0 or
+    disc = 0) go to roots_mod_p.
+    """
+    ps = np.asarray(primes)
+    if ps.size and ps.max() >= ROOT_COUNTS_PMAX:
+        raise ValueError(f"root_counts needs primes below 2^31, got {int(ps.max())}")
+    ps = ps.astype(np.int64)
+    out = np.zeros(ps.size, dtype=np.int64)
+    disc = f.disc()
+    fast = _mod_array(2 * f.a3 * disc, ps) != 0  # all False when a3 = 0 or disc = 0
+    for i in np.flatnonzero(~fast):
+        out[i] = len(roots_mod_p(f, int(ps[i])))
+    p = ps[fast]
+    if not p.size:
+        return out
+    inv = _pow_mod(_mod_array(f.a3, p), p - 2, p)
+    b0, b1, b2 = (_mod_array(a, p) * inv % p for a in (f.a0, f.a1, f.a2))
+
+    def times_x(r0, r1, r2):
+        # x (r0 + r1 x + r2 x^2) with x^3 = -(b2 x^2 + b1 x + b0)
+        return -r2 * b0 % p, (r0 - r2 * b1 % p) % p, (r1 - r2 * b2 % p) % p
+
+    def square(r0, r1, r2):
+        s4 = r2 * r2 % p
+        s3 = 2 * (r1 * r2 % p) % p
+        s2 = (r1 * r1 % p + 2 * (r0 * r2 % p)) % p
+        s1 = 2 * (r0 * r1 % p) % p
+        s0 = r0 * r0 % p
+        # x^4 = x * x^3, then x^3, each folded down by the monic relation
+        s3, s2, s1 = (s3 - s4 * b2 % p) % p, (s2 - s4 * b1 % p) % p, (s1 - s4 * b0 % p) % p
+        return (s0 - s3 * b0 % p) % p, (s1 - s3 * b1 % p) % p, (s2 - s3 * b2 % p) % p
+
+    r = (np.ones_like(p), np.zeros_like(p), np.zeros_like(p))
+    for k in range(int(p.max()).bit_length() - 1, -1, -1):
+        r = square(*r)
+        bit = (p >> k) & 1 == 1
+        r = tuple(np.where(bit, t, s) for t, s in zip(times_x(*r), r))
+    split = (r[0] == 0) & (r[1] == 1) & (r[2] == 0)
+    residue = _pow_mod(_mod_array(disc, p), (p - 1) // 2, p) == 1
+    out[fast] = np.where(residue, np.where(split, 3, 0), 1)
+    return out
+
+
+def _mod_array(n: int, ps: np.ndarray) -> np.ndarray:
+    """n mod p for each p in an int64 array, for a Python int n of any size."""
+    if abs(n) < 2 ** 63:
+        return np.int64(n) % ps
+    return (n % ps.astype(object)).astype(np.int64)
+
+
+def _pow_mod(base: np.ndarray, e: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """base^e mod p elementwise, for residues base < p < 2^31 and e >= 0."""
+    acc = np.ones_like(ps)
+    for k in range(int(e.max()).bit_length()):
+        acc = np.where((e >> k) & 1 == 1, acc * base % ps, acc)
+        base = base * base % ps
+    return acc
+
+
 def _poly_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()

@@ -7,7 +7,7 @@ import pytest
 from qdl.cyclotomic import CycInt, sup_norm
 from qdl.dedekind import (classify, fundamental_discriminant, galois_count_sweep,
                           hecke_check, lambda_n, lambda_p, rankin_partial)
-from qdl.residues import IntPoly, factorize, sieve_primes
+from qdl.residues import IntPoly, factorize, roots_mod_p, sieve_primes
 from qdl.weights import make_bump
 
 D1 = classify(IntPoly(-1, -1, 0, 1))   # x^3 - x - 1, disc -23
@@ -66,8 +66,6 @@ def test_lambda_n_multiplicative_and_bounded():
 def test_lambda_euler_product_expansion():
     # lambda(p^j) agrees with the coefficient of the local factor
     # (1 - x) / prod over prime factors of f mod p of (1 - x^deg)
-    from qdl.residues import roots_mod_p
-
     for p in (3, 5, 7, 59, 61):
         if p in D1.bad_primes:
             continue
@@ -127,6 +125,52 @@ def test_rankin_partial():
     assert 0 < v1 < v2
     with pytest.raises(ValueError):
         rankin_partial(D1, classify(IntPoly(-1, -3, 0, 1)), 10.0, 1, phi)
+    for Q, B in ((50.0, 0), (50.0, -6), (0.0, 1), (-3.0, 1)):
+        with pytest.raises(ValueError):
+            rankin_partial(D1, D2, Q, B, phi)
+
+
+def _rankin_loop_oracle(d1, d2, Q, B, phi, lam_cache):
+    """The per-prime roots_mod_p sieve and Python q-loop that rankin_partial
+    replaced, kept as its oracle."""
+    qmax = int(math.ceil(2.0 * Q)) + 1
+
+    def lam(desc):
+        if (desc, qmax) not in lam_cache:
+            v = np.ones(qmax + 1, dtype=np.int64)
+            for p in sieve_primes(qmax):
+                if p not in desc.bad_primes:
+                    v[p::p] *= -1 + len(roots_mod_p(desc.f, p))
+            lam_cache[desc, qmax] = v
+        return lam_cache[desc, qmax]
+
+    lam1, lam2 = lam(d1), lam(d2)
+    bad = set(d1.bad_primes) | set(d2.bad_primes) | set(factorize(B))
+    sf = np.ones(qmax + 1, dtype=bool)
+    for p in sieve_primes(math.isqrt(qmax)):
+        sf[p * p::p * p] = False
+    for p in bad:
+        sf[p::p] = False
+    total = 0.0
+    for q in range(1, qmax + 1):
+        w = phi(q / Q)
+        if w and sf[q]:
+            total += lam1[q] * lam2[q] * w
+    return total
+
+
+def test_rankin_partial_matches_loop_oracle():
+    phi = make_bump(1.0, 2.0, "plain")
+    d3 = classify(IntPoly(5, 4, -9, 9))   # disc -70263, bad primes 3, 37, 211
+    d4 = classify(IntPoly(3, -7, 2, -5))  # a3 < 0, bad primes 5, 1811
+    assert d3.galois_type == d4.galois_type == "S3"
+    cache = {}
+    for d1, d2 in ((D1, D2), (D1, D1), (d3, d4)):
+        for Q in (0.2, 50.0, 500.0, 5000.0):
+            for B in (1, 6):
+                got = rankin_partial(d1, d2, Q, B, phi)
+                want = _rankin_loop_oracle(d1, d2, Q, B, phi, cache)
+                assert abs(got - want) <= 1e-12 * abs(want), (d1.f, d2.f, Q, B, got, want)
 
 
 def brute_nonS3(Y: float) -> int:

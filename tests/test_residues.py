@@ -6,7 +6,8 @@ import pytest
 from qdl.cyclotomic import CycInt
 from qdl.residues import (HenselDepthExceeded, IntPoly, divisors, factorize, ideal_norm,
                           is_prime, norm_gcd_check, poly_roots_count, rho,
-                          rho_exhaustive, rho_prime_power, roots_mod_p, sieve_primes, vp)
+                          rho_exhaustive, rho_prime_power, root_counts, roots_mod_p,
+                          sieve_primes, vp)
 
 
 def test_intpoly_basics():
@@ -45,6 +46,38 @@ def test_roots_mod_p_large_prime():
         got = roots_mod_p(f, p)
         want = [x for x in range(p) if f(x) % p == 0]
         assert got == want
+
+
+def test_root_counts_matches_roots_mod_p():
+    """The batched Frobenius count against the per-prime oracle, at every
+    prime <= 2000 (2, 3 and the primes dividing a3 disc among them) and at
+    primes past the scan, where _roots_mod_p_large is the oracle."""
+    from qdl.dedekind import classify
+
+    fixed = [(-1, -1, 0, 1), (3, -7, 2, -5), (2, 0, 0, -3),  # S3, a3 = -5, -3
+             (1, -3, 0, 1), (-1, -2, 1, 1),                   # A3
+             (0, -1, 0, 1), (1, 2, 1, 2),                     # reducible
+             (3, 2, 1, 0), (-4, 0, 1, 0),                     # a3 = 0
+             (1, 3, 3, 1), (1, -3, 0, 4), (0, 0, -1, 1)]      # disc = 0
+    rng = np.random.default_rng(19)
+    drawn = [tuple(int(x) for x in rng.integers(-9, 10, 4)) for _ in range(8)]
+    cubics = [IntPoly(*c) for c in fixed + drawn]
+    kinds = {classify(f).galois_type for f in cubics}
+    assert kinds == {"S3", "A3", "reducible", "degenerate"}
+    assert any(f.a3 < -1 for f in cubics) and any(f.disc() == 0 for f in cubics)
+    small = sieve_primes(2000)
+    large = [3001, 7919, 104729, 1299709, 2 ** 31 - 1]
+    for f in cubics:
+        want = [len(roots_mod_p(f, p)) for p in small + large]
+        got = root_counts(f, np.array(small + large))
+        assert got.dtype == np.int64
+        assert got.tolist() == want, f
+    assert root_counts(cubics[0], []).size == 0
+
+
+def test_root_counts_rejects_primes_past_int64_safety():
+    with pytest.raises(ValueError):
+        root_counts(IntPoly(-1, -1, 0, 1), [5, 2 ** 31 + 11])
 
 
 @pytest.mark.slow
