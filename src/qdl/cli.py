@@ -84,7 +84,8 @@ def _add_congruence_args(p):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qdl", description=__doc__)
     ap.add_argument("--out", help="write the report to this path instead of stdout")
-    ap.add_argument("--format", choices=["json", "tsv"], default="json")
+    ap.add_argument("--format", choices=["json", "tsv"],
+                    help="report format; a subcommand that cannot print it exits 1")
     ap.add_argument("--seed", type=int, default=1)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -175,9 +176,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the formats --format may name per subcommand; the others print json only
+FORMATS = {"rho": ("json", "tsv"), "delta2d-check": ("json", "tsv"),
+           "divisor-sum": ("json", "tsv"), "lambda": ("tsv",), "rankin": ("tsv",),
+           "verify-all": ()}
+
+
 def dispatch(args) -> int:
     out = args.out
     cmd = args.cmd
+    if args.format and args.format not in FORMATS.get(cmd, ("json",)):
+        print(f"{cmd} cannot print {args.format}", file=sys.stderr)
+        return 1
     if cmd == "rho":
         from .residues import rho
 
@@ -237,10 +247,8 @@ def dispatch(args) -> int:
 
         w1, w2 = _delta_weights()
         rng = np.random.default_rng(args.seed)
-        pts = [(0, 0)]
-        while len(pts) < args.grid:
-            n = (int(rng.integers(-args.X + 1, args.X)), int(rng.integers(-args.X + 1, args.X)))
-            pts.append(n)
+        pts = [(0, 0)] + [(int(rng.integers(-args.X + 1, args.X)),
+                           int(rng.integers(-args.X + 1, args.X))) for _ in range(args.grid - 1)]
         rows = []
         worst = 0.0
         for n in pts:

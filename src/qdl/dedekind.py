@@ -27,6 +27,7 @@ from .residues import (IntPoly, divisors, factorize, is_prime, root_counts, root
                        sieve_primes)
 
 GALOIS_SWEEP_YMAX = 60
+HECKE_KMAX = 6  # hecke_check tests the recursion at k = 1 .. HECKE_KMAX - 1
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,9 @@ def _kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def hecke_check(desc: CubicFieldDesc, p: int, kmax: int = 6) -> bool:
-    """Verify lambda(p) lambda(p^k) = lambda(p^(k+1)) + chi(p) lambda(p^(k-1)).
+def hecke_check(desc: CubicFieldDesc, p: int) -> bool:
+    """Verify lambda(p) lambda(p^k) = lambda(p^(k+1)) + chi(p) lambda(p^(k-1))
+    for 1 <= k < HECKE_KMAX.
 
     chi is the Kronecker symbol of the fundamental discriminant attached to
     Disc(f) (the central character of the quadratic resolvent field).
@@ -163,8 +165,8 @@ def hecke_check(desc: CubicFieldDesc, p: int, kmax: int = 6) -> bool:
         raise ValueError(f"{p} is a bad prime")
     nroots = len(roots_mod_p(desc.f, p))
     chi = _kronecker(fundamental_discriminant(desc.disc), p)
-    lam = [_lambda_prime_power(nroots, j) for j in range(kmax + 2)]
-    for k in range(1, kmax):
+    lam = [_lambda_prime_power(nroots, j) for j in range(HECKE_KMAX + 2)]
+    for k in range(1, HECKE_KMAX):
         if lam[1] * lam[k] != lam[k + 1] + chi * lam[k - 1]:
             return False
     return True
@@ -184,7 +186,7 @@ def rankin_partial(d1: CubicFieldDesc, d2: CubicFieldDesc, Q: float, B: int,
         raise ValueError(f"B must be >= 1, got {B}")
     if not Q > 0:
         raise ValueError(f"Q must be > 0, got {Q}")
-    qmax = int(math.ceil(2.0 * Q)) + 1  # phi supported within [lo, hi] <= [?, 2]
+    qmax = int(math.ceil(phi.hi * Q)) + 1  # phi(q/Q) = 0 for q >= phi.hi * Q
     primes = np.array(sieve_primes(qmax), dtype=np.int64)
     lam1 = _lambda_vector(d1, primes, qmax)
     lam2 = lam1 if d2 is d1 else _lambda_vector(d2, primes, qmax)

@@ -17,6 +17,7 @@ evaluators enumerate exactly the terms the supports allow.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from math import gcd
 
 from .cyclotomic import CycInt
@@ -33,9 +34,7 @@ def q_sum(m: int, d: int, Q: float, omega: BumpWeight) -> float:
     total = 0.0
     if m == 0:
         # [dq | 0] always; only the first weight survives (w(0) = 0)
-        qlo = max(1, math.floor(omega.lo * Q / d))
-        qhi = math.ceil(omega.hi * Q / d)
-        for q in range(qlo, qhi + 1):
+        for q in range(max(1, math.floor(omega.lo * Q / d)), math.ceil(omega.hi * Q / d) + 1):
             total += omega(d * q / Q)
     elif m % d == 0:
         for q in divisors(m // d):
@@ -51,13 +50,41 @@ def delta1d(n: int, Q: float, omega: BumpWeight) -> float:
 
 
 def primitive_vectors(radius: float) -> list[tuple[int, int]]:
-    out = []
     R = math.ceil(radius)
-    for c1 in range(-R, R + 1):
-        for c2 in range(-R, R + 1):
-            if (c1, c2) != (0, 0) and gcd(c1, c2) == 1 and c1 * c1 + c2 * c2 <= radius * radius:
-                out.append((c1, c2))
-    return out
+    return [(c1, c2) for c1 in range(-R, R + 1) for c2 in range(-R, R + 1)
+            if gcd(c1, c2) == 1 and c1 * c1 + c2 * c2 <= radius * radius]
+
+
+def single_sum(n: tuple[int, int], D: float, omega1: BumpWeight) -> float:
+    """sum over q | gcd(n) of w1(|n|/(qD)), the 2D expansion's subtracted sum
+    before its factor 2/D^2; 0 at n = 0, as w1(0) = 0."""
+    if n == (0, 0):
+        return 0.0
+    nn, total = math.hypot(*n), 0.0
+    for q in divisors(gcd(*n)):
+        total += omega1(nn / (q * D))
+    return total
+
+
+@lru_cache(maxsize=32)
+def _triple_terms(D: float, omega1: BumpWeight) -> tuple[tuple[int, int, int, float], ...]:
+    """(d, c1, c2, w1(|c|d/D)) over d >= 1 and primitive c with w1 != 0, d outermost."""
+    terms = ((d, c1, c2, omega1(math.hypot(c1, c2) * d / D))
+             for d in range(1, math.floor(omega1.hi * D) + 1)  # |c| >= 1 so d <= hi*D
+             for c1, c2 in primitive_vectors(omega1.hi * D / d))
+    return tuple(t for t in terms if t[3] != 0.0)
+
+
+def triple_sum(n: tuple[int, int], D: float, X: float,
+               omega1: BumpWeight, omega2: BumpWeight) -> float:
+    """The 2D expansion's triple sum over (d, c primitive, q) before its factor
+    1/D^2.  n is not range-checked: the pre-Poisson check passes |n| > X."""
+    n1, n2 = n
+    sDX, total = math.sqrt(D * X), 0.0
+    for d, c1, c2, w1 in _triple_terms(D, omega1):
+        if not (n1 % d or n2 % d):
+            total += w1 * d / sDX * q_sum(c1 * n2 - c2 * n1, d, sDX, omega2)
+    return total
 
 
 def delta2d(n: tuple[int, int], D: float, X: float,
@@ -68,29 +95,8 @@ def delta2d(n: tuple[int, int], D: float, X: float,
         raise ValueError("requires |n1|, |n2| < X")
     if not (1 <= D <= math.sqrt(X) + 1e-9):
         raise ValueError("requires 1 <= D <= sqrt(X)")
-    sDX = math.sqrt(D * X)
-    total = 0.0
-    # ---- triple sum over (d, c primitive, q) -------------------------------
-    dmax = math.floor(omega1.hi * D)  # |c| >= 1 so d <= hi*D
-    for d in range(1, dmax + 1):
-        if n != (0, 0) and (n1 % d or n2 % d):
-            continue
-        for (c1, c2) in primitive_vectors(omega1.hi * D / d):
-            w1 = omega1(math.hypot(c1, c2) * d / D)
-            if w1 == 0.0:
-                continue
-            det = c1 * n2 - c2 * n1
-            total += w1 * d / sDX * q_sum(det, d, sDX, omega2)
-    total /= D * D
-    # ---- subtracted single sum --------------------------------------------
-    sub = 0.0
-    if n == (0, 0):
-        pass  # omega1(0) = 0: no contribution
-    else:
-        nn = math.hypot(n1, n2)
-        for q in divisors(gcd(n1, n2)):
-            sub += omega1(nn / (q * D))
-    return total - 2.0 / (D * D) * sub
+    return (triple_sum(n, D, X, omega1, omega2) / (D * D)
+            - 2.0 / (D * D) * single_sum(n, D, omega1))
 
 
 def involution_identity_gap(n: tuple[int, int], D: float, omega1: BumpWeight) -> float:
@@ -99,9 +105,8 @@ def involution_identity_gap(n: tuple[int, int], D: float, omega1: BumpWeight) ->
     n1, n2 = n
     if (n1, n2) == (0, 0):
         raise ValueError("identity is about nonzero n")
-    g = gcd(n1, n2)
     first = 0.0
-    for d in divisors(g):
+    for d in divisors(gcd(n1, n2)):
         m1, m2 = n1 // d, n2 // d
         gm = gcd(m1, m2)
         # primitive c parallel to n/d: +-(n/d)/gm
@@ -109,11 +114,7 @@ def involution_identity_gap(n: tuple[int, int], D: float, omega1: BumpWeight) ->
             c1, c2 = sgn * m1 // gm, sgn * m2 // gm
             first += omega1(math.hypot(c1, c2) * d / D)
     first /= 2.0
-    second = 0.0
-    nn = math.hypot(n1, n2)
-    for q in divisors(g):
-        second += omega1(nn / (q * D))
-    return first - second
+    return first - single_sum(n, D, omega1)
 
 
 # ---------------------------------------------------------------------------

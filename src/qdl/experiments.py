@@ -25,16 +25,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
 from . import InvariantError
 from .cyclotomic import (CycInt, CycRes, conj_star, ell_matrices, ell_matrix, embed,
                          embed_abs, mult_matrices, unembed)
-from .delta import primitive_vectors, q_sum
+from .delta import single_sum, triple_sum
 from .expsums import CongruenceData
-from .residues import divisors, rho, sieve_primes
+from .residues import rho, sieve_primes
 from .singular import sigma_p_product
 from .weights import BumpWeight, make_bump
 
@@ -123,17 +123,12 @@ def divisor_sum(N: int) -> int:
         m4 = m ** 4
         for n in range(m, B + 1):
             v = m4 + n ** 4
-            if v == 0 or v > N:
-                if v > N:
-                    break
-                continue
-            if m == 0:        # (0, +-n), (+-n, 0)
-                mult.append(4)
-            elif m == n:      # (+-m, +-m)
-                mult.append(4)
-            else:             # 8 signed/ordered arrangements
-                mult.append(8)
-            vals.append(v)
+            if v > N:
+                break
+            if v:
+                # (0, +-n) and (+-n, 0), or (+-m, +-m): 4; else 8 signed/ordered
+                mult.append(4 if m == 0 or m == n else 8)
+                vals.append(v)
     if not vals:
         return 0
     arr = np.array(vals, dtype=np.int64)
@@ -579,42 +574,29 @@ def prop5_decomposition_check(cfg: ExperimentConfig, phi1: ArchWeight, phi2: Arc
     """
     cfg.validate_delta()
     cong = cfg.congruence()
-    X = cfg.X1 * cfg.X2
-    D = cfg.D
-    sDX = math.sqrt(D * X)
-    # aggregate pair weights by their ell value: the decomposition terms only
-    # depend on ell(alpha1 alpha2)
-    by_ell: dict[tuple[int, int], float] = {}
+    X, D = cfg.X1 * cfg.X2, cfg.D
+    # aggregate pair weights by their ell value, a block of alpha1 rows at a
+    # time: the decomposition terms only depend on ell(alpha1 alpha2)
     pts1, w1s = _alpha1_candidates(cfg.X1, phi1, cong, 1)
     arr2, w2s = _alpha1_candidates(cfg.X2, phi2, cong, 2)
-    for A, w1 in zip(ell_matrices(pts1), w1s):
-        ells = arr2 @ A.T  # rows: (ell1, ell2) of a1*a2
-        for (l1, l2), w2 in zip(ells, w2s):
-            key = (int(l1), int(l2))
-            by_ell[key] = by_ell.get(key, 0.0) + w1 * w2
+    A = ell_matrices(pts1)
+    keys, sums = [np.empty((0, 2), dtype=np.int64)], [np.empty(0)]
+    step = max(1, _SCAN_CHUNK // max(1, len(arr2)))
+    for i in range(0, len(A), step):
+        ells = (A[i:i + step] @ arr2.T).transpose(0, 2, 1).reshape(-1, 2)
+        u, inv = np.unique(ells, axis=0, return_inverse=True)
+        keys.append(u)
+        sums.append(np.bincount(inv.ravel(), np.outer(w1s[i:i + step], w2s).ravel()))
+    ells, inv = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
+    by_ell = np.bincount(inv.ravel(), np.concatenate(sums))
 
-    direct = by_ell.get((0, 0), 0.0)
-    sig1 = 0.0
-    sig2 = 0.0
-    prim = primitive_vectors(omega1.hi * D)
-    for (n1, n2), w in by_ell.items():
-        if (n1, n2) != (0, 0):
-            g = gcd(abs(n1), abs(n2))
-            nn = math.hypot(n1, n2)
-            for q in divisors(g):
-                sig1 += w * omega1(nn / (q * D))
-        for (c1v, c2v) in prim:
-            nc = math.hypot(c1v, c2v)
-            det = c1v * n2 - c2v * n1
-            for d in range(1, int(omega1.hi * D / nc) + 1):
-                wd = omega1(nc * d / D)
-                if wd == 0.0:
-                    continue
-                if (n1 % d) or (n2 % d):
-                    continue
-                sig2 += w * wd * d / sDX * q_sum(det, d, sDX, omega2)
-    sig1 /= D * D
-    sig2 /= D * D
+    direct = sig1 = sig2 = 0.0
+    for n, w in zip(map(tuple, ells.tolist()), by_ell.tolist()):
+        if n == (0, 0):
+            direct = w
+        sig1 += w * single_sum(n, D, omega1)
+        sig2 += w * triple_sum(n, D, X, omega1, omega2)
+    sig1, sig2 = sig1 / (D * D), sig2 / (D * D)
     decomposed = -2 * sig1 + sig2
     return {"direct": direct, "sigma1": sig1, "sigma2": sig2,
             "decomposed": decomposed, "diff": abs(direct - decomposed)}

@@ -1,4 +1,4 @@
-"""Root counting mod prime powers, the congruence density rho(q), ideal norms.
+"""Cubic root counts mod p, the congruence density rho(q), ideal norms.
 
 rho(q) counts solutions of x1^4 + x2^4 = 0 (mod q).  It is multiplicative and
 satisfies, at prime powers, the recursion
@@ -23,14 +23,6 @@ import numpy as np
 
 from .cyclotomic import CycInt, mult_matrix
 from .linalg import lattice_index
-
-HENSEL_DEPTH_MAX = 64
-POLY_ROOTS_EXHAUSTIVE_MAX = 10 ** 4
-
-
-class HenselDepthExceeded(RuntimeError):
-    pass
-
 
 # ---------------------------------------------------------------------------
 # primes
@@ -135,9 +127,6 @@ class IntPoly:
 
     def __call__(self, x: int) -> int:
         return ((self.a3 * x + self.a2) * x + self.a1) * x + self.a0
-
-    def deriv(self) -> "IntPoly":
-        return IntPoly(self.a1, 2 * self.a2, 3 * self.a3, 0)
 
     def disc(self) -> int:
         """18abcd - 4b^3d + b^2c^2 - 4ac^3 - 27a^2d^2 for a x^3 + b x^2 + c x + d."""
@@ -333,69 +322,6 @@ def _poly_quot(a, b, p):
             for j, bj in enumerate(b):
                 a[i - (len(b) - 1) + j] = (a[i - (len(b) - 1) + j] - c * bj) % p
     return _poly_trim(q)
-
-
-def poly_roots_count(f: IntPoly, p: int, k: int) -> int:
-    """#{x mod p^k : f(x) = 0 mod p^k}; exhaustive when p^k is small,
-    Hensel recursion otherwise."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 0:
-        raise ValueError("exponent must be >= 0")
-    if k == 0:
-        return 1
-    q = p ** k
-    if q <= POLY_ROOTS_EXHAUSTIVE_MAX:
-        return sum(1 for x in range(q) if f(x) % q == 0)
-    return _roots_count_hensel([f.a0, f.a1, f.a2, f.a3], p, k, 0)
-
-
-def _roots_count_hensel(cs: list[int], p: int, k: int, depth: int) -> int:
-    if depth > HENSEL_DEPTH_MAX:
-        raise HenselDepthExceeded("singular Hensel tower exceeded depth cap")
-    if k <= 0:
-        return 1
-    if all(c % p == 0 for c in cs):
-        # f = p * g: f(x) = 0 mod p^k <=> g(x) = 0 mod p^(k-1); careful with
-        # higher content.  Pull out one factor of p at a time.
-        sub = _roots_count_hensel([c // p for c in cs], p, k - 1, depth + 1)
-        # roots mod p^(k-1) lift to p roots mod p^k
-        return sub * p
-    fpoly = IntPoly(*(cs + [0] * (4 - len(cs)))[:4])
-    deriv = fpoly.deriv()
-    total = 0
-    for r in roots_mod_p(fpoly, p):
-        if deriv(r) % p != 0:
-            total += 1  # unique Hensel lift all the way up
-        else:
-            # substitute x = r + p*y, divide by the content power of p
-            shifted = _shift_scale(cs, r, p)
-            v = 0
-            while v < k and all(c % p == 0 for c in shifted):
-                shifted = [c // p for c in shifted]
-                v += 1
-            if v >= k:
-                total += p ** (k - 1)
-                continue
-            sub = _roots_count_hensel(shifted, p, k - v, depth + 1)
-            total += p ** (v - 1) * sub
-    return total
-
-
-def _shift_scale(cs: list[int], r: int, p: int) -> list[int]:
-    """Coefficients of f(r + p*y) as a polynomial in y."""
-    out = [0, 0, 0, 0]
-    # f(r + t) via Taylor shift, then t -> p*y
-    a0, a1, a2, a3 = (cs + [0, 0, 0, 0])[:4]
-    b0 = ((a3 * r + a2) * r + a1) * r + a0
-    b1 = (3 * a3 * r + 2 * a2) * r + a1
-    b2 = 3 * a3 * r + a2
-    b3 = a3
-    out[0] = b0
-    out[1] = b1 * p
-    out[2] = b2 * p * p
-    out[3] = b3 * p ** 3
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The zero-frequency densities live here:
 
 * sigma_p          -- limit of p^-6k #{pairs mod p^k: ell(b1 b2) = 0 (p^k),
-                      b_i = b_i' (p^m_p)}, in closed form at p not dividing M;
-                      its product over p (times M^2) is the value at 0 of the
-                      Moebius-differenced Dirichlet series of N1~.
+                      b_i = b_i' (p^m_p)}, in closed form at p not dividing M
+                      and when b1' or b2' is a unit at p; its product over p
+                      (times M^2) is the value at 0 of the Moebius-differenced
+                      Dirichlet series of N1~.
 * sigma_p_cd       -- the (c, d)-twisted density with the det congruence,
                       truncated with a certified tail.
 * tau_p            -- the character-sum form (1/(v1,v2,p^inf)) sum_k S_p(v;k);
@@ -37,7 +38,7 @@ import numpy as np
 from . import InvariantError
 from . import constants as C
 from .counts import count_pairs, sp_vk
-from .cyclotomic import Vec2Int
+from .cyclotomic import Vec2Int, ell, norm
 from .expsums import CongruenceData, n1_tilde
 from .residues import divisors, factorize, is_prime, rho_prime_power, sieve_primes, vp
 from .weights import BumpWeight
@@ -65,11 +66,11 @@ def _mu(n: int) -> int:
     return (-1) ** len(f)
 
 
-def n1_star(q: int, cong: CongruenceData, ell_modulus: str = "reduced") -> float:
+def n1_star(q: int, cong: CongruenceData) -> float:
     """N1*(q) = sum over b | q/M of mu(b) N1~(q/b); requires M | q.
 
-    The reduced ell-modulus convention is the one under which the S-hat
-    zero-frequency identity is exact.
+    N1~ is taken in the reduced ell-modulus convention, the one under which
+    the S-hat zero-frequency identity is exact.
     """
     if q % cong.M != 0:
         raise ValueError("n1_star requires M | q")
@@ -77,7 +78,7 @@ def n1_star(q: int, cong: CongruenceData, ell_modulus: str = "reduced") -> float
     for b in divisors(q // cong.M):
         m = _mu(b)
         if m:
-            total += m * n1_tilde(q // b, cong, ell_modulus)
+            total += m * n1_tilde(q // b, cong, "reduced")
     return total
 
 
@@ -102,7 +103,17 @@ def sigma_p(p: int, cong: CongruenceData, target_tail: float = 1e-6,
     """Zero-frequency local density at p.
 
     At p not dividing M: the closed form _sigma_p_coprime, with truncation_k 0
-    and tail_bound 0.  At p | M: the truncation N1~(p^k) in the full-modulus
+    and tail_bound 0.
+
+    At p | M with m = v_p(M), when p does not divide N(beta1') or N(beta2'):
+    exactly [ell(beta1' beta2') = 0 (p^m)] p^(-6m), truncation_k m, tail_bound
+    0.  Proof, with beta1' the unit: for k >= m each of the p^(4(k-m)) beta1
+    mod p^k is a unit, so beta2 -> beta1 beta2 maps beta2' + p^m O bijectively
+    onto beta1' beta2' + p^m O mod p^k.  As ell: O -> Z^2 is onto, that coset
+    holds p^(2(k-m)) gamma with ell(gamma) = 0 (p^k) if ell(beta1' beta2') = 0
+    (p^m), else none; so N1~(p^k) = p^(6(k-m)) / p^(6k) or 0 for every k >= m.
+
+    At the other p | M: the truncation N1~(p^k) in the full-modulus
     convention, with |N1~(p^(k+1)) - N1~(p^k)| <= C p^(4 m_p - 2k - 2) (C the
     frozen C.PROP63_DIFF_C), so the tail after level k is that over 1 - p^-2.
     Its count costs like p^(2k); with cap_to_budget the truncation stops at the
@@ -114,6 +125,10 @@ def sigma_p(p: int, cong: CongruenceData, target_tail: float = 1e-6,
     if m == 0:
         return LocalDensityEstimate(p, float(_sigma_p_coprime(np.array([p]))[0]), 0, 0.0,
                                     "sigma_p")
+    b1, b2 = cong.beta1p.lift(), cong.beta2p.lift()
+    if norm(b1) % p or norm(b2) % p:
+        hit = all(x % p ** m == 0 for x in ell(b1 * b2))
+        return LocalDensityEstimate(p, hit / p ** (6 * m), m, 0.0, "sigma_p")
 
     def tail(k: int) -> float:
         return C.PROP63_DIFF_C * p ** (4 * m - 2 * k - 2) / (1 - p ** -2)
@@ -133,7 +148,7 @@ def sigma_p_product(cong: CongruenceData) -> tuple[float, float]:
     """prod_p sigma_p and its error.
 
     The closed form at p not dividing M over p <= P = 2e5, in one numpy pass,
-    times the truncated sigma_p(p, cong, cap_to_budget=True) at p | M.
+    times sigma_p(p, cong, cap_to_budget=True) at p | M (t_p = 0 where exact).
     Each omitted factor obeys 1 < sigma_p < 1 + 5/p^2, and sum_{p > P} 1/p^2
     <= 2.03248 / (P log P) (Rosser-Schoenfeld, as in c_constants), so the
     omitted product lies in [1, e^T] with T = 5 * 2.03248 / (P log P).  With
@@ -224,12 +239,11 @@ def sigma_p_cd(p: int, c: Vec2Int, d: int, cong: CongruenceData,
 
 def s_vq(v: tuple[int, int], q: int, cong: CongruenceData) -> complex:
     """S(v; q) = prod over p | qM of S_p(v; v_p(q))."""
-    primes = set(factorize(q)) | set(factorize(cong.M)) if max(q, cong.M) > 1 else set()
     b1, b2 = cong.beta1p.lift(), cong.beta2p.lift()
     out = 1.0 + 0.0j
-    for p in sorted(primes):
+    for p in sorted(set(factorize(q)) | set(factorize(cong.M))):
         k = vp(q, p)
-        out *= sp_vk((v[0] % max(p ** k, 1), v[1] % max(p ** k, 1)), p, k, cong.M, b1, b2)
+        out *= sp_vk((v[0] % p ** k, v[1] % p ** k), p, k, cong.M, b1, b2)
     return out
 
 
@@ -238,24 +252,11 @@ def s_hat(w: Vec2Int, q: int, cong: CongruenceData) -> complex:
     for p, k in factorize(q).items():
         if p ** k > 27:
             raise ValueError("s_hat budget: prime powers of q must be <= 27")
-    b1, b2 = cong.beta1p.lift(), cong.beta2p.lift()
-    primes = sorted(set(factorize(q)) | (set(factorize(cong.M)) if cong.M > 1 else set()))
-    tables = {}
-    for p in primes:
-        k = vp(q, p)
-        pk = p ** k
-        tab = {}
-        for v1 in range(pk):
-            for v2 in range(pk):
-                tab[(v1, v2)] = sp_vk((v1, v2), p, k, cong.M, b1, b2)
-        tables[p] = (pk, tab)
     total = 0.0 + 0.0j
     for v1 in range(q):
         for v2 in range(q):
-            s = 1.0 + 0.0j
-            for p, (pk, tab) in tables.items():
-                s *= tab[(v1 % pk, v2 % pk)]
-            total += s * np.exp(-2j * np.pi * ((v1 * w[0] + v2 * w[1]) % q) / q)
+            phase = np.exp(-2j * np.pi * ((v1 * w[0] + v2 * w[1]) % q) / q)
+            total += s_vq((v1, v2), q, cong) * phase
     return total
 
 

@@ -31,6 +31,11 @@ def test_usage_errors():
     assert run_cli("divisor-sum", "--N", "100000000000").returncode == 1
     r = run_cli("singular-series", "--method", "euler-product", "--prime-cutoff", "1")
     assert r.returncode == 1 and r.stderr.startswith("error:"), r.stderr
+    # an explicit format the subcommand cannot print is refused, not ignored
+    r = run_cli("--format", "tsv", "s1", "--q", "5")
+    assert r.returncode == 1 and r.stdout == "" and "cannot print tsv" in r.stderr, r.stderr
+    r = run_cli("--format", "json", "lambda", "--f", "-1", "-1", "0", "1")
+    assert r.returncode == 1 and r.stdout == "" and "cannot print json" in r.stderr, r.stderr
 
 
 def test_s1_subcommand_brute_fast():

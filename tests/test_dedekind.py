@@ -110,7 +110,7 @@ def test_hecke_sweep():
         for p in sieve_primes(100):
             if p in desc.bad_primes:
                 continue
-            assert hecke_check(desc, p, 6), (f, p)
+            assert hecke_check(desc, p), (f, p)
         done += 1
 
 
@@ -133,7 +133,7 @@ def test_rankin_partial():
 def _rankin_loop_oracle(d1, d2, Q, B, phi, lam_cache):
     """The per-prime roots_mod_p sieve and Python q-loop that rankin_partial
     replaced, kept as its oracle."""
-    qmax = int(math.ceil(2.0 * Q)) + 1
+    qmax = int(math.ceil(phi.hi * Q)) + 1
 
     def lam(desc):
         if (desc, qmax) not in lam_cache:
@@ -160,17 +160,20 @@ def _rankin_loop_oracle(d1, d2, Q, B, phi, lam_cache):
 
 
 def test_rankin_partial_matches_loop_oracle():
-    phi = make_bump(1.0, 2.0, "plain")
+    """Weights reaching past 2 included: every q < phi.hi * Q counts."""
     d3 = classify(IntPoly(5, 4, -9, 9))   # disc -70263, bad primes 3, 37, 211
     d4 = classify(IntPoly(3, -7, 2, -5))  # a3 < 0, bad primes 5, 1811
     assert d3.galois_type == d4.galois_type == "S3"
     cache = {}
-    for d1, d2 in ((D1, D2), (D1, D1), (d3, d4)):
-        for Q in (0.2, 50.0, 500.0, 5000.0):
-            for B in (1, 6):
-                got = rankin_partial(d1, d2, Q, B, phi)
-                want = _rankin_loop_oracle(d1, d2, Q, B, phi, cache)
-                assert abs(got - want) <= 1e-12 * abs(want), (d1.f, d2.f, Q, B, got, want)
+    for support in ((1.0, 2.0), (1.0, 3.0), (2.5, 4.0)):
+        phi = make_bump(*support, "plain")
+        for d1, d2 in ((D1, D2), (D1, D1), (d3, d4)):
+            for Q in (0.2, 50.0, 500.0, 5000.0):
+                for B in (1, 6):
+                    got = rankin_partial(d1, d2, Q, B, phi)
+                    want = _rankin_loop_oracle(d1, d2, Q, B, phi, cache)
+                    assert abs(got - want) <= 1e-12 * abs(want), (support, d1.f, d2.f, Q, B,
+                                                                   got, want)
 
 
 def brute_nonS3(Y: float) -> int:

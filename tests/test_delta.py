@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from qdl import constants as C
-from qdl.delta import delta1d, delta2d, involution_identity_gap, poisson_check
+from qdl.delta import (delta1d, delta2d, involution_identity_gap, poisson_check,
+                       primitive_vectors, q_sum)
+from qdl.residues import divisors
 from qdl.weights import NORMALIZATION_TOL, BumpWeight, make_bump, smoothness_witness
 
 
@@ -81,6 +83,40 @@ def test_delta2d_identity(w1, w2):
         delta2d((200, 0), 10.0, 100.0, w1, w2)
     with pytest.raises(ValueError):
         delta2d((1, 1), 30.0, 100.0, w1, w2)
+
+
+def _delta2d_loop(n, D, X, omega1, omega2):
+    """The 2D expansion with both sums written out in place: d, then primitive
+    c, then the q-sum; the subtracted sum over q | gcd(n)."""
+    n1, n2 = n
+    sDX = math.sqrt(D * X)
+    total = 0.0
+    for d in range(1, math.floor(omega1.hi * D) + 1):
+        if n != (0, 0) and (n1 % d or n2 % d):
+            continue
+        for (c1, c2) in primitive_vectors(omega1.hi * D / d):
+            w1 = omega1(math.hypot(c1, c2) * d / D)
+            if w1 == 0.0:
+                continue
+            total += w1 * d / sDX * q_sum(c1 * n2 - c2 * n1, d, sDX, omega2)
+    total /= D * D
+    sub = 0.0
+    if n != (0, 0):
+        nn = math.hypot(n1, n2)
+        for q in divisors(math.gcd(n1, n2)):
+            sub += omega1(nn / (q * D))
+    return total - 2.0 / (D * D) * sub
+
+
+def test_delta2d_matches_loop_oracle(w1, w2):
+    """Bit-identical to the written-out loop: the shared sums add the same
+    terms in the same order."""
+    rng = random.Random(12)
+    for X, D in ((100.0, 10.0), (36.0, 3.0), (400.0, 20.0), (25.0, 5.0), (64.0, 8.0)):
+        pts = [(0, 0)] + [(rng.randint(-int(X) + 1, int(X) - 1),
+                           rng.randint(-int(X) + 1, int(X) - 1)) for _ in range(9)]
+        for n in pts:
+            assert delta2d(n, D, X, w1, w2) == _delta2d_loop(n, D, X, w1, w2), (n, D, X)
 
 
 def test_delta2d_error_decreases_in_D(w1, w2):

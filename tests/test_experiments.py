@@ -6,6 +6,7 @@ import pytest
 from qdl import constants as C
 from qdl import experiments
 from qdl.cyclotomic import CycInt, ell, ell_matrices, ell_matrix
+from qdl.delta import primitive_vectors, q_sum
 from qdl.experiments import (AnnularWeight, ArchWeight, ExperimentConfig, _alpha1_candidates,
                              _box_axes, _inner_integrals, _kernel_points, _theorem2_scan,
                              divisor_sum, divisor_sum_sieve_oracle, fit_loglog,
@@ -13,6 +14,7 @@ from qdl.experiments import (AnnularWeight, ArchWeight, ExperimentConfig, _alpha
                              sigma_infinity, theorem1_main_term, theorem1_report,
                              theorem2_lhs, theorem2_lhs_oracle, thm2_check)
 from qdl.linalg import integer_kernel
+from qdl.residues import divisors
 from qdl.weights import make_bump
 
 PHI = ArchWeight.centered(0.35)
@@ -311,6 +313,56 @@ def test_prop5_validates_delta_domain():
     with pytest.raises(ValueError):
         prop5_decomposition_check(ExperimentConfig(X1=4, X2=4, D=30.0),
                                   PHI, PHI, w1, w2)
+
+
+def _prop5_pair_loop(cfg, phi1, phi2, omega1, omega2):
+    """Sigma, Sigma_1 and Sigma_2 with every sum written out: a dict over the
+    (alpha1, alpha2) pairs keyed by ell(alpha1 alpha2), then Python loops over
+    q, primitive c and d."""
+    cong = cfg.congruence()
+    X, D = cfg.X1 * cfg.X2, cfg.D
+    sDX = math.sqrt(D * X)
+    by_ell = {}
+    pts1, w1s = _alpha1_candidates(cfg.X1, phi1, cong, 1)
+    arr2, w2s = _alpha1_candidates(cfg.X2, phi2, cong, 2)
+    for A, w1 in zip(ell_matrices(pts1), w1s):
+        for (l1, l2), w2 in zip(arr2 @ A.T, w2s):
+            key = (int(l1), int(l2))
+            by_ell[key] = by_ell.get(key, 0.0) + w1 * w2
+    direct = by_ell.get((0, 0), 0.0)
+    sig1 = sig2 = 0.0
+    prim = primitive_vectors(omega1.hi * D)
+    for (n1, n2), w in by_ell.items():
+        if (n1, n2) != (0, 0):
+            nn = math.hypot(n1, n2)
+            for q in divisors(math.gcd(abs(n1), abs(n2))):
+                sig1 += w * omega1(nn / (q * D))
+        for (c1, c2) in prim:
+            nc = math.hypot(c1, c2)
+            for d in range(1, int(omega1.hi * D / nc) + 1):
+                wd = omega1(nc * d / D)
+                if wd == 0.0 or n1 % d or n2 % d:
+                    continue
+                sig2 += w * wd * d / sDX * q_sum(c1 * n2 - c2 * n1, d, sDX, omega2)
+    sig1 /= D * D
+    sig2 /= D * D
+    return {"direct": direct, "sigma1": sig1, "sigma2": sig2, "decomposed": -2 * sig1 + sig2}
+
+
+@pytest.mark.parametrize("D", [2.0, 4.0])
+def test_prop5_matches_pair_loop_oracle(D, monkeypatch):
+    """The np.unique aggregation and the shared delta sums against the pair
+    loop, with every alpha1 block (one row per block) and with the default."""
+    w1 = make_bump(*C.OMEGA1_SUPPORT, "radial-normalized")
+    w2 = make_bump(*C.OMEGA2_SUPPORT, "even-halfline-normalized")
+    cfg = ExperimentConfig(X1=4, X2=4, D=D)
+    want = _prop5_pair_loop(cfg, PHI, PHI, w1, w2)
+    assert want["direct"] > 0
+    for chunk in (experiments._SCAN_CHUNK, 1):
+        monkeypatch.setattr(experiments, "_SCAN_CHUNK", chunk)
+        got = prop5_decomposition_check(cfg, PHI, PHI, w1, w2)
+        for key, val in want.items():
+            assert abs(got[key] - val) <= 1e-12 * abs(val), (chunk, key, got[key], val)
 
 
 @pytest.mark.slow

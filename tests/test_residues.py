@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from qdl.cyclotomic import CycInt
-from qdl.residues import (HenselDepthExceeded, IntPoly, divisors, factorize, ideal_norm,
-                          is_prime, norm_gcd_check, poly_roots_count, rho,
-                          rho_exhaustive, rho_prime_power, root_counts, roots_mod_p,
-                          sieve_primes, vp)
+from qdl.residues import (IntPoly, divisors, factorize, ideal_norm, is_prime,
+                          norm_gcd_check, rho, rho_exhaustive, rho_prime_power, root_counts,
+                          roots_mod_p, sieve_primes, vp)
 
 
 def test_intpoly_basics():
@@ -17,25 +16,6 @@ def test_intpoly_basics():
     assert f.disc() == -23
     assert IntPoly(-1, -3, 0, 1).disc() == 81
     assert IntPoly(3, 2, 1, 0).degree == 2
-
-
-def test_poly_roots_count_examples():
-    assert poly_roots_count(IntPoly(-1, 0, 0, 1), 7, 1) == 3   # x^3 = 1 mod 7
-    assert poly_roots_count(IntPoly(-1, -1, 0, 1), 5, 1) == 1  # only x = 2
-    assert poly_roots_count(IntPoly(1, 1, 1, 1), 5, 0) == 1    # mod 1
-    with pytest.raises(ValueError):
-        poly_roots_count(IntPoly(1, 0, 0, 1), 6, 1)
-
-
-def test_poly_roots_hensel_vs_exhaustive():
-    rng = np.random.default_rng(2)
-    for _ in range(80):
-        f = IntPoly(*[int(x) for x in rng.integers(-6, 7, 4)])
-        p = int(rng.choice([2, 3, 5, 7]))
-        k = int(rng.integers(1, 5))
-        q = p ** k
-        exhaustive = sum(1 for x in range(q) if f(x) % q == 0)
-        assert poly_roots_count(f, p, k) == exhaustive, (f, p, k)
 
 
 def test_roots_mod_p_large_prime():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from qdl import constants as C
-from qdl.counts import _kernel_size_total
-from qdl.cyclotomic import CycInt, CycRes, Vec2Int
+from qdl.counts import _kernel_size_total, count_pairs
+from qdl.cyclotomic import CycInt, CycRes, Vec2Int, ell, norm
 from qdl.expsums import CongruenceData, n1_tilde
-from qdl.residues import rho, rho_prime_power, sieve_primes, vp
+from qdl.residues import factorize, rho, rho_prime_power, sieve_primes, vp
 from qdl.singular import (_l_values_at_1, _log_h_factors, _log_local_factors,
                           _pole_coefficients, _rho_partial_sums, _sigma_p_coprime,
                           c_constants, kappa,
@@ -55,8 +55,44 @@ def test_sigma_p_values_and_tails():
 
 
 def test_sigma_p_budget_error():
+    # both beta' divisible by 1 + zeta: no closed form, so the truncation runs
+    zero2 = CongruenceData(2, CycRes((0, 0, 0, 0), 2), CycRes((0, 0, 0, 0), 2))
     with pytest.raises(ValueError):
-        sigma_p(2, CONG2, target_tail=1e-12)
+        sigma_p(2, zero2, target_tail=1e-12)
+    # a unit beta' needs no count at any tail target
+    est = sigma_p(2, CONG2, target_tail=1e-12)
+    assert (est.value, est.truncation_k, est.tail_bound) == (1 / 64, 1, 0.0)
+
+
+def _unit_class_pairs(M, p, per_kind=3, seed=0):
+    """Seeded (beta1', beta2') mod M with a unit at p among them, per_kind with
+    ell(beta1' beta2') = 0 mod p^m and per_kind without."""
+    rng = np.random.default_rng(seed)
+    pm = p ** vp(M, p)
+    found = {True: [], False: []}
+    while min(map(len, found.values())) < per_kind:
+        b1, b2 = (CycInt(*map(int, rng.integers(0, M, 4))) for _ in range(2))
+        if norm(b1) % p or norm(b2) % p:
+            kind = all(x % pm == 0 for x in ell(b1 * b2))
+            if len(found[kind]) < per_kind:
+                found[kind].append((b1, b2))
+    return found[True] + found[False]
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 6])
+def test_sigma_p_unit_class_is_exact(M):
+    """When either beta' is a unit at p | M, the count N1~(p^k) is the same
+    Fraction at k = m ... m + 3, and sigma_p returns it with no tail."""
+    for p in factorize(M):
+        m = vp(M, p)
+        for b1, b2 in _unit_class_pairs(M, p):
+            cong = CongruenceData(M, CycRes(b1, M), CycRes(b2, M))
+            est = sigma_p(p, cong)
+            want = Fraction(all(x % p ** m == 0 for x in ell(b1 * b2)), p ** (6 * m))
+            assert (est.value, est.truncation_k, est.tail_bound) == (float(want), m, 0.0)
+            for k in range(m, m + 4):
+                got = Fraction(count_pairs(p ** k, M, b1, b2, lambda q, e: []), p ** (6 * k))
+                assert got == want, (M, p, k, b1, b2)
 
 
 def test_tau_p_examples():
@@ -100,7 +136,7 @@ def test_s_hat_identity_m1():
 def test_s_hat_identity_m2():
     for q in (2, 4, 6):
         lhs = s_hat(Vec2Int(0, 0), q, CONG2)
-        rhs = q / 4 * n1_star(2 * q, CONG2, "reduced")
+        rhs = q / 4 * n1_star(2 * q, CONG2)
         assert abs(lhs - rhs) < 1e-9, q
 
 
