@@ -368,7 +368,7 @@ def dispatch(args) -> int:
         if args.format == "tsv":
             emit_tsv(["N", "sum"], [(args.N, val)], out)
         else:
-            print(val) if out is None else emit_json({"N": args.N, "sum": val}, out)
+            emit_json({"N": args.N, "sum": val}, out)
         return 0
 
     if cmd == "thm1-report":

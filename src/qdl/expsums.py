@@ -15,6 +15,8 @@ floating-point step is one evaluation of a count vector against roots of
 unity).  The fast evaluators detect the ell/det congruences with additive
 characters, execute the beta2 sum, and reduce each remaining term to an exact
 character sum over a beta1 coset computed by integer linear algebra mod q.
+Fast S1 first factors over the prime powers of q (CRT), and at primes not
+dividing M sums the unit multipliers in closed form.
 
 The zero-frequency normalizations use the full-modulus convention
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from .counts import ZERO, count_pairs, coset_phase_counts, phase_sum
 from .cyclotomic import CycInt, CycRes, Vec2Int, conj_star, ell, ell_matrices, ell_matrix, norm
-from .residues import IntPoly, divisors, is_prime, roots_mod_p, vp
+from .residues import IntPoly, divisors, factorize, is_prime, roots_mod_p, vp
 
 # enumeration budgets; configuration constants, not hard limits of the method
 S1_BRUTE_QMAX = 9
@@ -162,55 +164,80 @@ def s2_brute(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
 # fast evaluators
 # ---------------------------------------------------------------------------
 
-def _s1_prime_coprime(a1: CycInt, a2: CycInt, p: int) -> complex:
-    """S1(a1, a2; p) for p prime with M = 1, vectorized over (x, y).
-
-    For lambda = x + y*zeta invertible mod p the beta1 solution is unique and
-    the phase is -<a1 a2 lambda*, 1> / (x^4 + y^4) mod p, a closed form in
-    the coordinates of a1*a2; only the O(p) pairs with p | x^4 + y^4 need the
-    generic character-sum solver.
-    """
-    w = (a1 * a2).coords()
-    xs, ys = np.meshgrid(np.arange(p, dtype=np.int64), np.arange(p, dtype=np.int64),
-                         indexing="ij")
-    xs, ys = xs.ravel(), ys.ravel()
-    nval = (xs ** 2 % p) ** 2 % p
-    nval = (nval + (ys ** 2 % p) ** 2) % p
-    inv = np.zeros(p, dtype=np.int64)
-    if p > 1:
-        inv[1:] = np.vectorize(lambda t: pow(int(t), -1, p))(np.arange(1, p))
-    # T = x^3 w3 - x^2 y w2 + x y^2 w1 - y^3 w0 (coordinates of a1*a2)
-    x2, y2 = xs * xs % p, ys * ys % p
-    T = (x2 * xs % p * (w[3] % p) - x2 * ys % p * (w[2] % p)
-         + xs * y2 % p * (w[1] % p) - y2 * ys % p * (w[0] % p)) % p
-    unit = nval != 0
-    counts = np.bincount((-T[unit] * inv[nval[unit]]) % p, minlength=p).tolist()
-    # singular lambdas via the generic path, merged exactly per phase class
-    lams = (CycInt(x, y, 0, 0) for x, y in zip(xs[~unit].tolist(), ys[~unit].tolist()))
-    for r, c in coset_phase_counts(p, 1, lams, -a2, ZERO, ZERO, a1).items():
-        counts[r] += c
-    return phase_sum(((k, c) for k, c in enumerate(counts) if c), p) * p ** 2 / p ** 3
-
-
-def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue:
-    """S1 via the x, y parametrization and exact beta1-coset character sums.
+def _s1_cosets(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> complex:
+    """S1(a1, a2; q) as one beta1-coset character sum per multiplier, at any q.
 
     Detecting ell(beta1 beta2) = 0 (q') with characters and summing beta2
     leaves, for each (x, y) mod q' = q/(q,M),
 
         q'^2/q^3 * psi_q(a2 b2') * sum over {beta = b1' (g),
              g(x + y z) beta = -a2 (q')} of e(<(a1 + g(x+yz) b2') beta, 1>/q).
+
+    s1_fast runs it on the prime powers dividing M; the tests run it at
+    composite q as the oracle of the factored path.
     """
-    if q > S1_FAST_QMAX:
-        raise BudgetExceeded(f"fast S1 capped at q <= {S1_FAST_QMAX}")
     g = gcd(q, cong.M)
     qp = q // g
-    if g == 1 and q > 2 and is_prime(q):
-        return ExpSumValue(_s1_prime_coprime(a1, a2, q))
     lams = (CycInt(g * x, g * y, 0, 0) for x in range(qp) for y in range(qp))
     b1, b2 = cong.reduced(g)
     counts = coset_phase_counts(q, g, lams, -a2, b1, b2, a1, shift=(a2 * b2).c3)
-    val = phase_sum(counts.items(), q) * qp ** 2 / q ** 3
+    return phase_sum(counts.items(), q) * qp ** 2 / q ** 3
+
+
+def _s1_prime_power_coprime(a1: CycInt, a2: CycInt, p: int, e: int) -> complex:
+    """S1(a1, a2; p^e) for p not dividing M, vectorized over (x, y) mod p^e.
+
+    lambda = x + y*zeta is a unit mod p^e exactly when p does not divide its
+    norm x^4 + y^4; then the beta1 solution is unique and the phase is
+    -<a1 a2 lambda*, 1> / (x^4 + y^4) mod p^e, a closed form in the
+    coordinates of a1*a2.  Only the non-units need the generic character-sum
+    solver.
+    """
+    q = p ** e
+    w = (a1 * a2).coords()
+    xs, ys = np.meshgrid(np.arange(q, dtype=np.int64), np.arange(q, dtype=np.int64),
+                         indexing="ij")
+    xs, ys = xs.ravel(), ys.ravel()
+    nval = (xs ** 2 % q) ** 2 % q
+    nval = (nval + (ys ** 2 % q) ** 2) % q
+    unit = nval % p != 0
+    inv = np.zeros(q, dtype=np.int64)
+    units = np.flatnonzero(np.arange(q) % p)
+    inv[units] = [pow(int(t), -1, q) for t in units]
+    # T = x^3 w3 - x^2 y w2 + x y^2 w1 - y^3 w0 (coordinates of a1*a2)
+    x2, y2 = xs * xs % q, ys * ys % q
+    T = (x2 * xs % q * (w[3] % q) - x2 * ys % q * (w[2] % q)
+         + xs * y2 % q * (w[1] % q) - y2 * ys % q * (w[0] % q)) % q
+    counts = np.bincount((-T[unit] * inv[nval[unit]]) % q, minlength=q).tolist()
+    # non-unit lambdas via the generic path, merged exactly per phase class
+    lams = (CycInt(x, y, 0, 0) for x, y in zip(xs[~unit].tolist(), ys[~unit].tolist()))
+    for r, c in coset_phase_counts(q, 1, lams, -a2, ZERO, ZERO, a1).items():
+        counts[r] += c
+    return phase_sum(((k, c) for k, c in enumerate(counts) if c), q) / q
+
+
+def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue:
+    """S1 as a product over the prime powers p^e || q (CRT).
+
+    With u = (q/p^e)^-1 mod p^e, 1/q = sum of u/p^e mod 1, and both the ell
+    congruence and beta = beta' (q, M) split over the prime powers, so
+
+        S1(a1, a2; q) = prod over p^e || q of S1(u a1, u a2; p^e),
+
+    each factor with the congruence datum at gcd(p^e, M).  A factor at p not
+    dividing M is evaluated in closed form on the unit multipliers; one at
+    p | M by the coset sums of _s1_cosets.
+    """
+    if q > S1_FAST_QMAX:
+        raise BudgetExceeded(f"fast S1 capped at q <= {S1_FAST_QMAX}")
+    val = complex(1)
+    for p, e in factorize(q).items():
+        pe = p ** e
+        u = pow(q // pe, -1, pe)
+        if cong.M % p:
+            val *= _s1_prime_power_coprime(u * a1, u * a2, p, e)
+        else:
+            val *= _s1_cosets(u * a1, u * a2, pe, cong)
     return ExpSumValue(val)
 
 

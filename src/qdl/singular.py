@@ -17,8 +17,9 @@ The zero-frequency densities live here:
 * kappa, c_constants -- the archimedean area constant and the Laurent /
                       partial-sum constants of sum rho(q) q^(-s-1).
 
-scipy's quad is imported inside the four functions that integrate, so
-importing this module does not load scipy.
+scipy's quad is imported inside the four functions that integrate, and
+mpmath inside the three that evaluate L-values, so importing this module
+loads neither.
 
 Tail bounds use the difference estimates with empirically frozen constants
 from qdl.constants; every estimate carries its truncation level and a
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-import mpmath as mp
 import numpy as np
 
 from . import InvariantError
@@ -303,6 +303,8 @@ _CHI_MOD8 = np.array([[1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]])
 def _l_values(s) -> list:
     """L(s, chi) = 8^-s sum_a chi(a) zeta(s, a/8) (Hurwitz) for the rows chi of
     _CHI_MOD8, as mpf at the working precision."""
+    import mpmath as mp
+
     z = [mp.zeta(s, mp.mpf(a) / 8) for a in (1, 3, 5, 7)]
     return [mp.power(8, -s) * mp.fdot(row, z) for row in _CHI_MOD8.tolist()]
 
@@ -315,6 +317,8 @@ def _l_values_at_1() -> tuple[tuple[float, float], ...]:
     central difference of _l_values at 1 +- 1e-12 in 60 digits: error O(1e-24),
     and the cancelling Hurwitz poles cost 24 digits.
     """
+    import mpmath as mp
+
     with mp.workdps(60):
         h = mp.mpf(10) ** -12
         psi = [mp.digamma(mp.mpf(a) / 8) for a in (1, 3, 5, 7)]
@@ -376,6 +380,8 @@ def _pole_coefficients(P: int = 100_000) -> tuple[float, float]:
     zeta(2s)^2 prod_chi L(2s, chi), whose Euler factors these are; the omitted
     factors are 1 + O(p^(-1-s)).
     """
+    import mpmath as mp
+
     p = np.array(sieve_primes(P))
     pf = p.astype(float)
     chi = np.where(p % 2, _CHI_MOD8[:, p % 8 // 2], 0)

@@ -19,10 +19,14 @@ def test_rho_subcommand():
     assert json.loads(r.stdout)["rho"] == 65
 
 
-def test_divisor_sum_subcommand():
+def test_divisor_sum_subcommand(tmp_path):
     r = run_cli("divisor-sum", "--N", "2")
     assert r.returncode == 0
-    assert r.stdout.strip() == "12"
+    assert json.loads(r.stdout)["sum"] == 12
+    # the same report goes to --out as to stdout
+    out = tmp_path / "sum.json"
+    assert run_cli("--out", str(out), "divisor-sum", "--N", "2").returncode == 0
+    assert out.read_text() == r.stdout
 
 
 def test_usage_errors():
@@ -132,6 +136,19 @@ def test_package_import_leaves_scipy_unloaded():
         "import sys\n"
         "import qdl.experiments, qdl.singular, qdl.weights\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    """mpmath is imported by the functions that evaluate L-values, not at
+    module load, so only the commands that need those values pay for it."""
+    code = (
+        "import sys\n"
+        "import qdl.cli, qdl.dedekind, qdl.experiments, qdl.expsums, qdl.singular\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

@@ -84,18 +84,20 @@ def test_count_pairs_exhaustive():
             return []
 
         got = count_pairs(n, M, B1, B2, rows_zero)
-        count = 0
         g = math.gcd(n, M)
-        for c1 in itertools.product(range(n), repeat=4):
-            if any((x - b) % g for x, b in zip(c1, b1)):
-                continue
-            A = CycInt(*c1)
-            for c2 in itertools.product(range(n), repeat=4):
-                if any((x - b) % g for x, b in zip(c2, b2)):
-                    continue
-                pr = A * CycInt(*c2)
-                if pr.c3 % n == 0 and pr.c2 % n == 0:
-                    count += 1
+
+        def coset(b):
+            # every beta mod n with beta = b (mod g), one coordinate per row
+            axes = [np.arange(b_i % g, n, g) for b_i in b]
+            return np.stack(np.meshgrid(*axes, indexing="ij")).reshape(4, -1)
+
+        # z^2 and z^3 coordinates of beta1 * beta2 in Z[z]/(z^4 + 1), every pair
+        x, y = coset(b1), coset(b2)
+        c2 = (np.outer(x[0], y[2]) + np.outer(x[1], y[1]) + np.outer(x[2], y[0])
+              - np.outer(x[3], y[3]))
+        c3 = (np.outer(x[0], y[3]) + np.outer(x[1], y[2]) + np.outer(x[2], y[1])
+              + np.outer(x[3], y[0]))
+        count = int(np.count_nonzero((c3 % n == 0) & (c2 % n == 0)))
         assert got == count, (n, M, got, count)
 
 

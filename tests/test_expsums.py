@@ -6,8 +6,8 @@ import pytest
 
 from qdl.cyclotomic import CycInt, CycRes, Vec2Int
 from qdl.expsums import (BudgetExceeded, CongruenceData, S1_BRUTE_QMAX,
-                         S2_BRUTE_DQMAX, a_alpha, n1_tilde, n2_tilde, s1_brute,
-                         s1_fast, s2_bound_rhs, s2_brute, s2_fast)
+                         S2_BRUTE_DQMAX, _s1_cosets, a_alpha, n1_tilde, n2_tilde,
+                         s1_brute, s1_fast, s2_bound_rhs, s2_brute, s2_fast)
 
 TRIV = CongruenceData.trivial()
 CONG2 = CongruenceData(2, CycRes((1, 0, 0, 0), 2), CycRes((1, 0, 0, 0), 2))
@@ -81,6 +81,24 @@ def test_s1_plain_multiplicativity_sample():
             v = s1_fast(a1, a2, q1 * q2, TRIV).value
             v12 = s1_fast(a1, a2, q1, TRIV).value * s1_fast(a1, a2, q2, TRIV).value
             assert abs(v - v12) < 1e-9, (q1, q2)
+
+
+def test_s1_fast_matches_unfactored_coset_sum():
+    """s1_fast factors S1 over the prime powers of q, each factor twisted by
+    u = (q/p^e)^-1 mod p^e; the coset sum run at the composite q itself is
+    its oracle.  At M = 3 and M = 4 the twist at the factor dividing M is not
+    1, and the prime powers exercise the unit test p | x^4 + y^4 mod p^e."""
+    rng = np.random.default_rng(13)
+    composite = [q1 * q2 for q1 in range(2, 25) for q2 in range(q1 + 1, 25)
+                 if q1 * q2 <= 48 and math.gcd(q1, q2) == 1]
+    one = (1, 0, 0, 0)
+    congs = [TRIV] + [CongruenceData(M, CycRes(one, M), CycRes(one, M)) for M in (2, 3, 4, 6)]
+    for q in composite + [4, 8, 9, 16, 25, 27, 49]:
+        for cong in congs:
+            a1, a2 = rand_cyc(rng), rand_cyc(rng)
+            want = _s1_cosets(a1, a2, q, cong)
+            got = s1_fast(a1, a2, q, cong).value
+            assert abs(got - want) <= 1e-8, (q, cong.M, a1, a2, got, want)
 
 
 def test_a_alpha_examples():
