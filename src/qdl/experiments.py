@@ -491,13 +491,24 @@ def _inner_integrals(phi2: ArchWeight, x1: np.ndarray) -> np.ndarray:
     a, b = mats[:, :2, :] * lo, mats[:, :2, :] * hi
     ulo = np.minimum(a, b).sum(axis=2)
     width = np.maximum(a, b).sum(axis=2) - ulo
-    # midpoint nodes in u and v; x2 = x1^-1 (u + v z) takes columns 0 and 1
-    # of the inverse
     uv = ulo[:, :, None] + width[:, :, None] * ((np.arange(_INNER_NODES) + 0.5) / _INNER_NODES)
-    x2 = (uv[:, 0, :, None, None] * inv[:, None, None, :, 0]
-          + uv[:, 1, None, :, None] * inv[:, None, None, :, 1])
-    f = phi2.eval_rows(x2.reshape(-1, 4)).reshape(len(x1), -1).sum(axis=1)
-    return f * width.prod(axis=1) / _INNER_NODES ** 2 / np.abs(np.linalg.det(mats))
+    # coordinate c of x2 = x1^-1 (u_i + v_j z) in phi2's unit box is
+    # t_c = row[c, :, i] + col[c, :, j], and phi2 = prod(scale) exp(-sum_c
+    # 1/max(t_c (1 - t_c), 0)): a node outside the box adds 1/0 = inf, so 0
+    span = (hi - lo)[:, None, None]
+    f = np.empty(len(x1))
+    for s in range(0, len(x1), _INNER_CHUNK):
+        c = slice(s, s + _INNER_CHUNK)
+        row = (uv[None, c, 0, :] * inv[c, :, 0].T[:, :, None] - lo[:, None, None]) / span
+        col = uv[None, c, 1, :] * inv[c, :, 1].T[:, :, None] / span
+        expo = np.zeros((row.shape[1], _INNER_NODES, _INNER_NODES))
+        with np.errstate(divide="ignore", over="ignore"):
+            for r, q in zip(row, col):
+                t = r[:, :, None] + q[:, None, :]
+                expo += 1.0 / np.maximum(t * (1.0 - t), 0.0)
+        f[c] = np.exp(-expo).reshape(len(expo), -1).sum(axis=1)
+    scale = math.prod(bump.scale for bump in phi2.bumps)
+    return f * scale * width.prod(axis=1) / _INNER_NODES ** 2 / np.abs(np.linalg.det(mats))
 
 
 def sigma_infinity(phi1: ArchWeight, phi2: ArchWeight, mc_samples: int = 30_000,
@@ -505,9 +516,11 @@ def sigma_infinity(phi1: ArchWeight, phi2: ArchWeight, mc_samples: int = 30_000,
     """sigma_inf = int phi1(x1) phi2(x2) delta(ell(x1 x2)) dx1 dx2.
 
     Monte Carlo over the phi1 box, with the inner integrals of the samples
-    from _inner_integrals, _INNER_CHUNK samples at a time.
-    Returns (value, standard error).
+    from _inner_integrals.  Returns (value, standard error); the standard
+    error needs mc_samples >= 2.
     """
+    if mc_samples < 2:
+        raise ValueError(f"sigma_infinity needs mc_samples >= 2, got {mc_samples}")
     rng = np.random.default_rng(seed)
     boxes = phi1.boxes
     vol = float(np.prod([hi - lo for lo, hi in boxes]))
@@ -516,9 +529,7 @@ def sigma_infinity(phi1: ArchWeight, phi2: ArchWeight, mc_samples: int = 30_000,
     w1 = phi1.eval_rows(samples)
     live = np.nonzero(w1 > 0)[0]
     vals = np.zeros(mc_samples)
-    for s in range(0, len(live), _INNER_CHUNK):
-        idx = live[s:s + _INNER_CHUNK]
-        vals[idx] = w1[idx] * _inner_integrals(phi2, samples[idx])
+    vals[live] = w1[live] * _inner_integrals(phi2, samples[live])
     mean = float(vals.mean()) * vol
     stderr = float(vals.std(ddof=1)) / math.sqrt(mc_samples) * vol
     return mean, stderr
@@ -533,6 +544,8 @@ def thm2_check(cfg: ExperimentConfig, pair_count: int = 12,
     down by pair: lhs, rhs, sigma_inf with its Monte Carlo standard error,
     and the number of lattice pairs (alpha1, alpha2) with nonzero weight.
     """
+    if pair_count < 1:
+        raise ValueError(f"thm2_check needs pair_count >= 1, got {pair_count}")
     pairs = ArchWeight.rotated_generic_pairs(pair_count, radius)
     prod, prod_err = sigma_p_product(cfg.congruence())
     scale = cfg.X1 ** 2 * cfg.X2 ** 2

@@ -40,6 +40,10 @@ def test_usage_errors():
     assert r.returncode == 1 and r.stdout == "" and "cannot print tsv" in r.stderr, r.stderr
     r = run_cli("--format", "json", "lambda", "--f", "-1", "-1", "0", "1")
     assert r.returncode == 1 and r.stdout == "" and "cannot print json" in r.stderr, r.stderr
+    # a family of no pairs is refused, not reported as a pass
+    for pairs in ("-1", "0"):
+        r = run_cli("thm2-check", "--X1", "4", "--X2", "4", "--pairs", pairs)
+        assert r.returncode == 1 and r.stdout == "" and "pair_count >= 1" in r.stderr, r.stderr
 
 
 def test_s1_subcommand_brute_fast():

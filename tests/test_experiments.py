@@ -5,7 +5,7 @@ import pytest
 
 from qdl import constants as C
 from qdl import experiments
-from qdl.cyclotomic import CycInt, ell, ell_matrices, ell_matrix
+from qdl.cyclotomic import CycInt, ell, ell_matrices, ell_matrix, mult_matrices
 from qdl.delta import primitive_vectors, q_sum
 from qdl.experiments import (AnnularWeight, ArchWeight, ExperimentConfig, _alpha1_candidates,
                              _box_axes, _inner_integrals, _kernel_points, _theorem2_scan,
@@ -295,6 +295,75 @@ def test_sigma_infinity_chunking_is_exact(monkeypatch):
     for chunk in (1, 97):
         monkeypatch.setattr(experiments, "_INNER_CHUNK", chunk)
         assert sigma_infinity(phi1, phi2, 250, 5) == want, chunk
+
+
+def _inner_integrals_per_bump(phi2, x1):
+    """The inner integral on _inner_integrals' nodes, with phi2 evaluated
+    point by point: x2 = x1^-1 (u + v z) at every node of the (u, v) grid,
+    then ArchWeight.eval_rows, one bump per coordinate."""
+    mats = mult_matrices(x1)
+    inv = np.linalg.inv(mats)
+    lo, hi = np.array(phi2.boxes).T
+    a, b = mats[:, :2, :] * lo, mats[:, :2, :] * hi
+    ulo = np.minimum(a, b).sum(axis=2)
+    width = np.maximum(a, b).sum(axis=2) - ulo
+    n = experiments._INNER_NODES
+    uv = ulo[:, :, None] + width[:, :, None] * ((np.arange(n) + 0.5) / n)
+    x2 = (uv[:, 0, :, None, None] * inv[:, None, None, :, 0]
+          + uv[:, 1, None, :, None] * inv[:, None, None, :, 1])
+    f = phi2.eval_rows(x2.reshape(-1, 4)).reshape(len(x1), -1).sum(axis=1)
+    return f * width.prod(axis=1) / n ** 2 / np.abs(np.linalg.det(mats)), x2
+
+
+def _edge_crossing_batch():
+    """x1 drawn from phi1's box and from a box four times as wide, for three
+    rotated pairs, seeded."""
+    rng = np.random.default_rng(11)
+    out = []
+    for phi1, phi2 in ArchWeight.rotated_generic_pairs(3, 0.3):
+        lo, hi = np.array(phi1.boxes).T
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        out.append((phi2, np.concatenate([rng.uniform(lo, hi, size=(20, 4)),
+                                          rng.uniform(mid - 4 * half, mid + 4 * half,
+                                                      size=(20, 4))])))
+    return out
+
+
+def test_inner_integral_kernel_matches_per_bump_oracle():
+    edge = _edge_crossing_batch()
+    for phi2, x1 in edge:
+        # nodes beyond both edges of phi2's box in every coordinate
+        lo, hi = np.array(phi2.boxes).T
+        pts = _inner_integrals_per_bump(phi2, x1)[1].reshape(-1, 4)
+        assert (pts.min(axis=0) < lo).all() and (pts.max(axis=0) > hi).all()
+    for phi2, x1 in _sigma_samples() + edge:
+        want = _inner_integrals_per_bump(phi2, x1)[0]
+        got = _inner_integrals(phi2, x1)
+        assert want.max() > 0
+        assert np.abs(got - want).max() <= 1e-12 * want.max(), \
+            np.abs(got - want).max() / want.max()
+
+
+def test_sigma_infinity_matches_per_bump_oracle(monkeypatch):
+    """Twelve (pair, seed) inputs of the lattice-count benchmark's shape:
+    sigma_infinity with its kernel against sigma_infinity with the oracle."""
+    pairs = ArchWeight.rotated_generic_pairs(12)
+    inputs = [(pairs[j], 900 + j) for j in range(12)]
+    got = [sigma_infinity(p1, p2, 250, seed) for (p1, p2), seed in inputs]
+    monkeypatch.setattr(experiments, "_inner_integrals",
+                        lambda phi2, x1: _inner_integrals_per_bump(phi2, x1)[0])
+    for ((p1, p2), seed), (s, se) in zip(inputs, got):
+        want, want_se = sigma_infinity(p1, p2, 250, seed)
+        assert want > 0
+        assert abs(s - want) <= 1e-12 * want, (seed, s, want)
+        assert abs(se - want_se) <= 1e-12 * want_se, (seed, se, want_se)
+
+
+def test_sigma_infinity_needs_two_samples():
+    phi1, phi2 = ArchWeight.rotated_generic_pairs(1, 0.3)[0]
+    for samples in (-1, 0, 1):
+        with pytest.raises(ValueError, match="mc_samples >= 2"):
+            sigma_infinity(phi1, phi2, samples, 1)
 
 
 def test_prop5_support_vanishing():
