@@ -156,7 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--X2", type=float, default=12.0)
     _add_congruence_args(p)
     p.add_argument("--pairs", type=int, default=12)
-    p.add_argument("--mc-samples", type=int, default=60_000)
+    p.add_argument("--mc-samples", type=int, default=60_000,
+                   help="sigma_inf Monte Carlo samples for the whole family, split evenly "
+                        "over the pairs; each pair gets at least 2000")
 
     p = sub.add_parser("level-dist")
     p.add_argument("--Q", type=int, default=500)
@@ -329,7 +331,7 @@ def dispatch(args) -> int:
             print(f"cubic is {desc.galois_type}, not S3", file=sys.stderr)
             return 1
         primes = [p for p in sieve_primes(args.pmax) if p not in desc.bad_primes]
-        rows = [(p, n, n - 1) for p, n in zip(primes, root_counts(desc.f, primes).tolist())]
+        rows = [(p, n, n - 1) for p, n in zip(primes, root_counts([desc.f], primes)[0].tolist())]
         emit_tsv(["p", "num_roots", "lambda"], rows, out)
         return 0
 

@@ -177,8 +177,12 @@ def rankin_partial(d1: CubicFieldDesc, d2: CubicFieldDesc, Q: float, B: int,
     """sum over squarefree q coprime to B and both bad-prime sets of
     lambda_1(q) lambda_2(q) phi(q/Q), for a BumpWeight phi.
 
-    The terms are the integers lambda_1 lambda_2 times phi, summed with
-    math.fsum, so the result is correctly rounded in any order.
+    lambda_1(p) lambda_2(p) comes from one root_counts call on the good
+    primes (the primes of B and of the bad sets are dropped before counting);
+    lambda_1 lambda_2(q) is the product over q's primes, peeled off smallest
+    first through a smallest-prime-factor table.  The terms are the integers
+    lambda_1 lambda_2 times phi, summed with math.fsum, so the result is
+    correctly rounded in any order.
     """
     if d1.galois_type != "S3" or d2.galois_type != "S3":
         raise ValueError("rankin_partial requires S3 cubics")
@@ -187,22 +191,31 @@ def rankin_partial(d1: CubicFieldDesc, d2: CubicFieldDesc, Q: float, B: int,
     if not Q > 0:
         raise ValueError(f"Q must be > 0, got {Q}")
     qmax = int(math.ceil(phi.hi * Q)) + 1  # phi(q/Q) = 0 for q >= phi.hi * Q
-    primes = np.array(sieve_primes(qmax), dtype=np.int64)
-    lam1 = _lambda_vector(d1, primes, qmax)
-    lam2 = lam1 if d2 is d1 else _lambda_vector(d2, primes, qmax)
     bad = d1.bad_primes | d2.bad_primes | set(factorize(B))
+    primes = np.array(sieve_primes(qmax), dtype=np.int64)
+    good = primes[~np.isin(primes, list(bad))]
+    lam = root_counts([d1.f] if d2 is d1 else [d1.f, d2.f], good) - 1
+    c = np.zeros(qmax + 1, dtype=np.int64)  # lambda_1 lambda_2 at the good primes, 1 at 1
+    c[1] = 1
+    c[good] = lam[0] * lam[-1]
+    spf = _smallest_prime_factor(primes, qmax)
     q = np.flatnonzero(_squarefree_coprime_mask(primes, qmax, bad))
-    return math.fsum(lam1[q] * lam2[q] * phi.eval_rows(q / Q))
+    lam12, rest = np.ones(q.size, dtype=np.int64), q.copy()
+    while rest.size and rest.max() > 1:  # one pass per prime factor: omega(q) passes
+        p = spf[rest]
+        lam12 *= c[p]
+        rest //= p
+    return math.fsum(lam12 * phi.eval_rows(q / Q))
 
 
-def _lambda_vector(desc: CubicFieldDesc, primes: np.ndarray, qmax: int) -> np.ndarray:
-    """lambda(q) for squarefree q <= qmax (garbage elsewhere), from the primes
-    p <= qmax and their root counts."""
-    good = primes[~np.isin(primes, list(desc.bad_primes))]
-    lam = np.ones(qmax + 1, dtype=np.int64)
-    for p, lp in zip(good.tolist(), (root_counts(desc.f, good) - 1).tolist()):
-        lam[p::p] *= lp
-    return lam
+def _smallest_prime_factor(primes: np.ndarray, qmax: int) -> np.ndarray:
+    """spf[n] = the smallest prime factor of n for 2 <= n <= qmax, and
+    spf[1] = 1.  Only the primes <= sqrt(qmax) are written, largest first, so
+    the smallest prime dividing n writes spf[n] last."""
+    spf = np.arange(qmax + 1, dtype=np.int64)
+    for p in primes[primes * primes <= qmax][::-1].tolist():
+        spf[p * p::p] = p
+    return spf
 
 
 def _squarefree_coprime_mask(primes: np.ndarray, qmax: int, bad) -> np.ndarray:

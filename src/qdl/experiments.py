@@ -546,6 +546,8 @@ def thm2_check(cfg: ExperimentConfig, pair_count: int = 12,
     """
     if pair_count < 1:
         raise ValueError(f"thm2_check needs pair_count >= 1, got {pair_count}")
+    if cfg.mc_samples < 2:
+        raise ValueError(f"thm2_check needs mc_samples >= 2, got {cfg.mc_samples}")
     pairs = ArchWeight.rotated_generic_pairs(pair_count, radius)
     prod, prod_err = sigma_p_product(cfg.congruence())
     scale = cfg.X1 ** 2 * cfg.X2 ** 2

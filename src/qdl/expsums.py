@@ -44,6 +44,9 @@ S1_BRUTE_QMAX = 9
 S1_FAST_QMAX = 10_000
 S2_BRUTE_DQMAX = 6
 S2_FAST_DQMAX = 200
+# _s1_prime_power_coprime walks its q x q grid of (x, y) in blocks of whole x
+# rows, about this many entries each, so its int64 temporaries stay O(block)
+_S1_BLOCK = 2 ** 16
 
 
 class BudgetExceeded(ValueError):
@@ -194,26 +197,29 @@ def _s1_prime_power_coprime(a1: CycInt, a2: CycInt, p: int, e: int) -> complex:
     solver.
     """
     q = p ** e
-    w = (a1 * a2).coords()
-    xs, ys = np.meshgrid(np.arange(q, dtype=np.int64), np.arange(q, dtype=np.int64),
-                         indexing="ij")
-    xs, ys = xs.ravel(), ys.ravel()
-    nval = (xs ** 2 % q) ** 2 % q
-    nval = (nval + (ys ** 2 % q) ** 2) % q
-    unit = nval % p != 0
+    w = [c % q for c in (a1 * a2).coords()]
     inv = np.zeros(q, dtype=np.int64)
     units = np.flatnonzero(np.arange(q) % p)
     inv[units] = [pow(int(t), -1, q) for t in units]
-    # T = x^3 w3 - x^2 y w2 + x y^2 w1 - y^3 w0 (coordinates of a1*a2)
-    x2, y2 = xs * xs % q, ys * ys % q
-    T = (x2 * xs % q * (w[3] % q) - x2 * ys % q * (w[2] % q)
-         + xs * y2 % q * (w[1] % q) - y2 * ys % q * (w[0] % q)) % q
-    counts = np.bincount((-T[unit] * inv[nval[unit]]) % q, minlength=q).tolist()
-    # non-unit lambdas via the generic path, merged exactly per phase class
-    lams = (CycInt(x, y, 0, 0) for x, y in zip(xs[~unit].tolist(), ys[~unit].tolist()))
-    for r, c in coset_phase_counts(q, 1, lams, -a2, ZERO, ZERO, a1).items():
-        counts[r] += c
-    return phase_sum(((k, c) for k, c in enumerate(counts) if c), q) / q
+    ys = np.arange(q, dtype=np.int64)
+    y2 = ys * ys % q
+    counts = np.zeros(q, dtype=np.int64)
+    rows = max(1, _S1_BLOCK // q)
+    for x0 in range(0, q, rows):
+        xs = np.arange(x0, min(x0 + rows, q), dtype=np.int64)[:, None]
+        x2 = xs * xs % q
+        nval = (x2 * x2 % q + y2 * y2 % q) % q
+        unit = nval % p != 0
+        # T = x^3 w3 - x^2 y w2 + x y^2 w1 - y^3 w0 (coordinates of a1*a2)
+        T = (x2 * xs % q * w[3] - x2 * ys % q * w[2]
+             + xs * y2 % q * w[1] - y2 * ys % q * w[0]) % q
+        counts += np.bincount((-T[unit] * inv[nval[unit]]) % q, minlength=q)
+        # non-unit lambdas via the generic path, merged exactly per phase class
+        xn, yn = np.nonzero(~unit)
+        lams = (CycInt(x, y, 0, 0) for x, y in zip((xn + x0).tolist(), yn.tolist()))
+        for r, c in coset_phase_counts(q, 1, lams, -a2, ZERO, ZERO, a1).items():
+            counts[r] += c
+    return phase_sum(((k, c) for k, c in enumerate(counts.tolist()) if c), q) / q
 
 
 def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue:

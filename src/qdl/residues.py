@@ -147,70 +147,79 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
 
 
 ROOT_COUNTS_PMAX = 2 ** 31  # residues < 2^31 keep every int64 product exact
+# row d sums the products r_i r_j (flattened i, j < 3) with i + j = d: a square's x^d coefficient
+_SQUARE = np.array([[int(i + j == d) for i in range(3) for j in range(3)] for d in range(5)])
 
 
-def root_counts(f: IntPoly, primes) -> np.ndarray:
-    """#roots of f mod p for every p in an array of primes, as int64.
+def root_counts(fs, primes) -> np.ndarray:
+    """#roots of f mod p for each cubic f in fs and each p in an array of
+    primes, as a (len(fs), len(primes)) int64 array.
 
     At p not dividing 2 a3 disc(f), f is a separable cubic mod p: by
     Stickelberger it has one root when disc is a non-residue (Euler's
     criterion), and otherwise three roots when x^p = x mod (f, p), none when
-    not.  x^p is raised by square-and-multiply on degree-<= 2 residues,
-    batched over all such primes and reduced by the monic f / a3.  The
-    finitely many primes dividing 2 a3 disc(f) (all of them when a3 = 0 or
-    disc = 0) go to roots_mod_p.
+    not.  x^p is raised by one square-and-multiply ladder on degree-<= 2
+    residues r = (r0, r1, r2), batched over all such (cubic, prime) pairs: with
+    the monic f / a3 = x^3 + b2 x^2 + b1 x + b0, the rows
+
+        x^3 = C3 = -(b0, b1, b2),  x^4 = C4 = (b0 b2, b1 b2 - b0, b2^2 - b1)
+
+    fold a square's x^3 and x^4 terms back to degree 2.  a3^-1 (Fermat) and
+    Euler's criterion on disc share one _pow_mod call.  The finitely many
+    pairs with p | 2 a3 disc(f) (every p when a3 = 0 or disc = 0) go to
+    roots_mod_p.
     """
     ps = np.asarray(primes)
     if ps.size and ps.max() >= ROOT_COUNTS_PMAX:
         raise ValueError(f"root_counts needs primes below 2^31, got {int(ps.max())}")
     ps = ps.astype(np.int64)
-    out = np.zeros(ps.size, dtype=np.int64)
-    disc = f.disc()
-    fast = _mod_array(2 * f.a3 * disc, ps) != 0  # all False when a3 = 0 or disc = 0
-    for i in np.flatnonzero(~fast):
-        out[i] = len(roots_mod_p(f, int(ps[i])))
-    p = ps[fast]
+    fs = list(fs)
+    out = np.zeros((len(fs), ps.size), dtype=np.int64)
+    # res[i] = (a0, a1, a2, a3, disc) of fs[i] mod each p
+    res = _mod_array([c for f in fs for c in (f.a0, f.a1, f.a2, f.a3, f.disc())],
+                     ps).reshape(len(fs), 5, ps.size)
+    fast = (ps != 2) & (res[:, 3] != 0) & (res[:, 4] != 0)
+    for i, j in zip(*np.nonzero(~fast)):
+        out[i, j] = len(roots_mod_p(fs[i], int(ps[j])))
+    fi, fj = np.nonzero(fast)
+    p = ps[fj]
+    a = res[fi, :, fj].T  # (a0, a1, a2, a3, disc) mod p, a column per pair
+    pw = _pow_mod(np.concatenate([a[3], a[4]]), np.concatenate([p - 2, (p - 1) // 2]),
+                  np.concatenate([p, p]))
+    inv, residue = pw[:p.size], pw[p.size:] == 1
+    out[fi, fj] = 1  # disc a non-residue: exactly one root
+    # the ladder runs only where disc is a residue: three roots or none
+    fi, fj, p = fi[residue], fj[residue], p[residue]
     if not p.size:
         return out
-    inv = _pow_mod(_mod_array(f.a3, p), p - 2, p)
-    b0, b1, b2 = (_mod_array(a, p) * inv % p for a in (f.a0, f.a1, f.a2))
-
-    def times_x(r0, r1, r2):
-        # x (r0 + r1 x + r2 x^2) with x^3 = -(b2 x^2 + b1 x + b0)
-        return -r2 * b0 % p, (r0 - r2 * b1 % p) % p, (r1 - r2 * b2 % p) % p
-
-    def square(r0, r1, r2):
-        s4 = r2 * r2 % p
-        s3 = 2 * (r1 * r2 % p) % p
-        s2 = (r1 * r1 % p + 2 * (r0 * r2 % p)) % p
-        s1 = 2 * (r0 * r1 % p) % p
-        s0 = r0 * r0 % p
-        # x^4 = x * x^3, then x^3, each folded down by the monic relation
-        s3, s2, s1 = (s3 - s4 * b2 % p) % p, (s2 - s4 * b1 % p) % p, (s1 - s4 * b0 % p) % p
-        return (s0 - s3 * b0 % p) % p, (s1 - s3 * b1 % p) % p, (s2 - s3 * b2 % p) % p
-
-    r = (np.ones_like(p), np.zeros_like(p), np.zeros_like(p))
-    for k in range(int(p.max()).bit_length() - 1, -1, -1):
-        r = square(*r)
-        bit = (p >> k) & 1 == 1
-        r = tuple(np.where(bit, t, s) for t, s in zip(times_x(*r), r))
-    split = (r[0] == 0) & (r[1] == 1) & (r[2] == 0)
-    residue = _pow_mod(_mod_array(disc, p), (p - 1) // 2, p) == 1
-    out[fast] = np.where(residue, np.where(split, 3, 0), 1)
+    b = a[:3, residue] * inv[residue] % p  # the monic f / a3 = x^3 + b2 x^2 + b1 x + b0
+    b0, b1, b2 = b
+    C = np.stack([-b % p, np.stack([b0 * b2, b1 * b2 - b0, b2 * b2 - b1]) % p])  # (2, 3, m)
+    bits = (p >> np.arange(int(p.max()).bit_length())[:, None]) & 1 == 1
+    r = np.zeros((3, p.size), dtype=np.int64)
+    r[0] = 1
+    for bit in bits[::-1]:
+        s = _SQUARE @ (r[:, None] * r[None, :] % p).reshape(9, -1)  # x^0 .. x^4, each < 3p
+        r = (s[:3] + (s[3:, None] % p * C % p).sum(axis=0)) % p
+        t = r[2] * C[0] % p  # times x: (0, r0, r1) + r2 C3
+        t[1:] += r[:2]
+        r = np.where(bit, t % p, r)
+    out[fi, fj] = np.where((r[0] == 0) & (r[1] == 1) & (r[2] == 0), 3, 0)
     return out
 
 
-def _mod_array(n: int, ps: np.ndarray) -> np.ndarray:
-    """n mod p for each p in an int64 array, for a Python int n of any size."""
-    if abs(n) < 2 ** 63:
-        return np.int64(n) % ps
-    return (n % ps.astype(object)).astype(np.int64)
+def _mod_array(ns: list[int], ps: np.ndarray) -> np.ndarray:
+    """n mod p for each Python int n (of any size) in ns and each p in an int64
+    array, as a (len(ns), len(ps)) int64 array."""
+    if all(abs(n) < 2 ** 63 for n in ns):
+        return np.array(ns, dtype=np.int64)[:, None] % ps
+    return (np.array(ns, dtype=object)[:, None] % ps.astype(object)).astype(np.int64)
 
 
 def _pow_mod(base: np.ndarray, e: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """base^e mod p elementwise, for residues base < p < 2^31 and e >= 0."""
     acc = np.ones_like(ps)
-    for k in range(int(e.max()).bit_length()):
+    for k in range(int(e.max(initial=0)).bit_length()):
         acc = np.where((e >> k) & 1 == 1, acc * base % ps, acc)
         base = base * base % ps
     return acc

@@ -44,6 +44,11 @@ def test_usage_errors():
     for pairs in ("-1", "0"):
         r = run_cli("thm2-check", "--X1", "4", "--X2", "4", "--pairs", pairs)
         assert r.returncode == 1 and r.stdout == "" and "pair_count >= 1" in r.stderr, r.stderr
+    # so is a sample count the per-pair floor would silently replace
+    for samples in ("-5", "1"):
+        r = run_cli("thm2-check", "--X1", "4", "--X2", "4", "--pairs", "1",
+                    "--mc-samples", samples)
+        assert r.returncode == 1 and r.stdout == "" and "mc_samples >= 2" in r.stderr, r.stderr
 
 
 def test_s1_subcommand_brute_fast():

@@ -176,6 +176,36 @@ def test_rankin_partial_matches_loop_oracle():
                                                                    got, want)
 
 
+def test_rankin_partial_counts_roots_at_no_bad_prime(monkeypatch):
+    """The primes of B and of both bad sets leave the prime list before the
+    root count, so none reaches the per-prime roots_mod_p; only p = 2, which
+    root_counts always sends there, may."""
+    from qdl import residues
+
+    seen = []
+
+    def recording(f, p):
+        seen.append(p)
+        return roots_mod_p(f, p)
+
+    monkeypatch.setattr(residues, "roots_mod_p", recording)
+    phi = make_bump(1.0, 2.0, "plain")
+    d3 = classify(IntPoly(5, 4, -9, 9))   # bad primes 3, 37, 211
+    for d1, d2, B in ((D1, D2, 1), (D1, D1, 6), (d3, D2, 1), (d3, d3, 10)):
+        seen.clear()
+        rankin_partial(d1, d2, 500.0, B, phi)
+        bad = d1.bad_primes | d2.bad_primes | set(factorize(B))
+        assert set(seen) <= {2} - bad, (d1.f, d2.f, B, seen)
+
+
+def test_smallest_prime_factor_table():
+    from qdl.dedekind import _smallest_prime_factor
+
+    for qmax in (1, 2, 3, 48, 49, 1000):
+        spf = _smallest_prime_factor(np.array(sieve_primes(qmax), dtype=np.int64), qmax)
+        assert spf[1:].tolist() == [1] + [min(factorize(n)) for n in range(2, qmax + 1)], qmax
+
+
 def brute_nonS3(Y: float) -> int:
     B = int(math.ceil(Y))
     total = 0

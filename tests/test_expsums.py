@@ -101,6 +101,20 @@ def test_s1_fast_matches_unfactored_coset_sum():
             assert abs(got - want) <= 1e-8, (q, cong.M, a1, a2, got, want)
 
 
+def test_s1_prime_power_blocks_are_exact(monkeypatch):
+    """The unit/non-unit grid walked one x row at a time gives exactly the
+    one-block value: its counts are integers, merged per phase class."""
+    from qdl import expsums
+
+    rng = np.random.default_rng(29)
+    inputs = [(q, rand_cyc(rng), rand_cyc(rng)) for q in (25, 49, 97) for _ in range(2)]
+    assert all(expsums._S1_BLOCK // q >= q for q, _, _ in inputs)  # one block by default
+    whole = [s1_fast(a1, a2, q, TRIV).value for q, a1, a2 in inputs]
+    monkeypatch.setattr(expsums, "_S1_BLOCK", 1)
+    rows = [s1_fast(a1, a2, q, TRIV).value for q, a1, a2 in inputs]
+    assert rows == whole
+
+
 def test_a_alpha_examples():
     assert a_alpha(CycInt(1, 0, 0, 1), 7) == 2
     assert a_alpha(CycInt(0, 0, 0, 1), 5) == 0

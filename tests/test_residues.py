@@ -47,17 +47,27 @@ def test_root_counts_matches_roots_mod_p():
     assert any(f.a3 < -1 for f in cubics) and any(f.disc() == 0 for f in cubics)
     small = sieve_primes(2000)
     large = [3001, 7919, 104729, 1299709, 2 ** 31 - 1]
-    for f in cubics:
+    ps = np.array(small + large)
+    # one call on every cubic: rows with different slow-prime sets share one ladder
+    batched = root_counts(cubics, ps)
+    assert batched.dtype == np.int64 and batched.shape == (len(cubics), ps.size)
+    for f, row in zip(cubics, batched):
         want = [len(roots_mod_p(f, p)) for p in small + large]
-        got = root_counts(f, np.array(small + large))
-        assert got.dtype == np.int64
-        assert got.tolist() == want, f
-    assert root_counts(cubics[0], []).size == 0
+        got = root_counts([f], ps)
+        assert got.shape == (1, ps.size)
+        assert got[0].tolist() == want, f
+        assert row.tolist() == want, f
+    assert root_counts(cubics, []).shape == (len(cubics), 0)
+    # coefficients past int64 are reduced as Python ints
+    huge = IntPoly(2 ** 64 + 3, -1, 0, 1)
+    assert root_counts([huge, cubics[0]], ps)[0].tolist() == [len(roots_mod_p(huge, p))
+                                                               for p in small + large]
+    assert root_counts(cubics[:1], []).shape == (1, 0)
 
 
 def test_root_counts_rejects_primes_past_int64_safety():
     with pytest.raises(ValueError):
-        root_counts(IntPoly(-1, -1, 0, 1), [5, 2 ** 31 + 11])
+        root_counts([IntPoly(-1, -1, 0, 1)], [5, 2 ** 31 + 11])
 
 
 @pytest.mark.slow
