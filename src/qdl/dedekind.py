@@ -23,8 +23,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .cyclotomic import sup_norms
-from .residues import (IntPoly, divisors, factorize, is_prime, root_counts, roots_mod_p,
-                       sieve_primes)
+from .residues import IntPoly, divisors, factorize, is_prime, root_counts, sieve_primes
 
 GALOIS_SWEEP_YMAX = 60
 HECKE_KMAX = 6  # hecke_check tests the recursion at k = 1 .. HECKE_KMAX - 1
@@ -86,7 +85,7 @@ def lambda_p(desc: CubicFieldDesc, p: int) -> int:
         raise ValueError(f"{p} is a bad prime for this cubic")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return -1 + len(roots_mod_p(desc.f, p))
+    return int(root_counts([desc.f], [p])[0, 0]) - 1
 
 
 def _lambda_prime_power(nroots: int, j: int) -> int:
@@ -103,11 +102,13 @@ def lambda_n(desc: CubicFieldDesc, n: int) -> int:
         raise ValueError("lambda is defined here only for S3 cubics")
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = 1
-    for p, j in factorize(n).items():
+    fac = factorize(n)
+    for p in fac:
         if p in desc.bad_primes:
             raise ValueError(f"{n} shares the bad prime {p}")
-        out *= _lambda_prime_power(len(roots_mod_p(desc.f, p)), j)
+    out = 1
+    for j, nroots in zip(fac.values(), root_counts([desc.f], list(fac))[0].tolist()):
+        out *= _lambda_prime_power(nroots, j)
     return out
 
 
@@ -163,7 +164,7 @@ def hecke_check(desc: CubicFieldDesc, p: int) -> bool:
         raise ValueError("hecke_check requires an S3 cubic")
     if p in desc.bad_primes:
         raise ValueError(f"{p} is a bad prime")
-    nroots = len(roots_mod_p(desc.f, p))
+    nroots = int(root_counts([desc.f], [p])[0, 0])
     chi = _kronecker(fundamental_discriminant(desc.disc), p)
     lam = [_lambda_prime_power(nroots, j) for j in range(HECKE_KMAX + 2)]
     for k in range(1, HECKE_KMAX):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .counts import ZERO, count_pairs, coset_phase_counts, phase_sum
 from .cyclotomic import CycInt, CycRes, Vec2Int, conj_star, ell, ell_matrices, ell_matrix, norm
-from .residues import IntPoly, divisors, factorize, is_prime, roots_mod_p, vp
+from .residues import IntPoly, divisors, factorize, is_prime, root_counts, vp
 
 # enumeration budgets; configuration constants, not hard limits of the method
 S1_BRUTE_QMAX = 9
@@ -320,11 +320,7 @@ def a_alpha(alpha: CycInt, p: int) -> int:
     divides the leading coefficient <alpha,1>."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n0, n1, n2, n3 = alpha.coords()
-    if all(x % p == 0 for x in (n0, n1, n2, n3)):
-        nroots = p
-    else:
-        nroots = len(roots_mod_p(IntPoly(n0, n1, n2, n3), p))
+    nroots = int(root_counts([IntPoly(*alpha.coords())], [p])[0, 0])
     return -1 + (1 if alpha.c3 % p == 0 else 0) + nroots
 
 

@@ -139,35 +139,51 @@ class IntPoly:
 
 
 def roots_mod_p(f: IntPoly, p: int) -> list[int]:
-    """Roots of f mod p.  Scans for small p, uses gcd with x^p - x for large p."""
+    """Roots of f mod p, by scanning every residue: O(p).  The oracle that
+    root_counts is tested against."""
     cs = [f.a0 % p, f.a1 % p, f.a2 % p, f.a3 % p]
-    if p <= 3000:
-        return [x for x in range(p) if (((cs[3] * x + cs[2]) * x + cs[1]) * x + cs[0]) % p == 0]
-    return _roots_mod_p_large(cs, p)
+    return [x for x in range(p) if (((cs[3] * x + cs[2]) * x + cs[1]) * x + cs[0]) % p == 0]
 
 
 ROOT_COUNTS_PMAX = 2 ** 31  # residues < 2^31 keep every int64 product exact
+# the ladder walks this many (cubic, prime) pairs at a time, so its (3, 3, m)
+# temporaries stay in cache however large the table
+_ROOT_COUNTS_BLOCK = 10_000
 # row d sums the products r_i r_j (flattened i, j < 3) with i + j = d: a square's x^d coefficient
 _SQUARE = np.array([[int(i + j == d) for i in range(3) for j in range(3)] for d in range(5)])
 
 
 def root_counts(fs, primes) -> np.ndarray:
     """#roots of f mod p for each cubic f in fs and each p in an array of
-    primes, as a (len(fs), len(primes)) int64 array.
+    primes below 2^31, as a (len(fs), len(primes)) int64 array.
 
     At p not dividing 2 a3 disc(f), f is a separable cubic mod p: by
     Stickelberger it has one root when disc is a non-residue (Euler's
     criterion), and otherwise three roots when x^p = x mod (f, p), none when
     not.  x^p is raised by one square-and-multiply ladder on degree-<= 2
-    residues r = (r0, r1, r2), batched over all such (cubic, prime) pairs: with
-    the monic f / a3 = x^3 + b2 x^2 + b1 x + b0, the rows
+    residues r = (r0, r1, r2), batched over blocks of such (cubic, prime)
+    pairs: with the monic f / a3 = x^3 + b2 x^2 + b1 x + b0, the rows
 
         x^3 = C3 = -(b0, b1, b2),  x^4 = C4 = (b0 b2, b1 b2 - b0, b2^2 - b1)
 
     fold a square's x^3 and x^4 terms back to degree 2.  a3^-1 (Fermat) and
-    Euler's criterion on disc share one _pow_mod call.  The finitely many
-    pairs with p | 2 a3 disc(f) (every p when a3 = 0 or disc = 0) go to
-    roots_mod_p.
+    Euler's criterion on disc share one _pow_mod call.
+
+    The other pairs are counted in closed form:
+
+    - p = 2: the roots are among 0 and 1, so the count is
+      [f(0) even] + [f(1) even].
+    - p odd, p | disc, p not dividing a3: f has a repeated root.  A cubic has
+      at most one repeated root, so Frobenius fixes it, and f = a3 (x - u)^2
+      (x - v) with u, v in F_p.  Then b2 = -(2u + v) and b1 = u^2 + 2uv give
+      a2^2 - 3 a1 a3 = a3^2 (b2^2 - 3 b1) = a3^2 (u - v)^2, and the count is
+      1 + [a2^2 != 3 a1 a3]: two roots, or one triple root.
+    - p odd, p | a3, p not dividing a2: f is the quadratic a2 x^2 + a1 x + a0
+      with discriminant D = a1^2 - 4 a0 a2, so it has 1 + (D/p) roots, the
+      Legendre symbol read off D^((p - 1)/2) (Euler's criterion).
+    - p | a3 and p | a2: f = a1 x + a0 has one root when p does not divide
+      a1; otherwise it is the constant a0, with p roots when p | a0 (f = 0
+      mod p) and none when not.
     """
     ps = np.asarray(primes)
     if ps.size and ps.max() >= ROOT_COUNTS_PMAX:
@@ -179,17 +195,42 @@ def root_counts(fs, primes) -> np.ndarray:
     res = _mod_array([c for f in fs for c in (f.a0, f.a1, f.a2, f.a3, f.disc())],
                      ps).reshape(len(fs), 5, ps.size)
     fast = (ps != 2) & (res[:, 3] != 0) & (res[:, 4] != 0)
-    for i, j in zip(*np.nonzero(~fast)):
-        out[i, j] = len(roots_mod_p(fs[i], int(ps[j])))
+    si, sj = np.nonzero(~fast)
+    out[si, sj] = [_degenerate_count(*a, p)
+                   for a, p in zip(res[si, :4, sj].tolist(), ps[sj].tolist())]
     fi, fj = np.nonzero(fast)
-    p = ps[fj]
-    a = res[fi, :, fj].T  # (a0, a1, a2, a3, disc) mod p, a column per pair
+    for k in range(0, fi.size, _ROOT_COUNTS_BLOCK):
+        i, j = fi[k:k + _ROOT_COUNTS_BLOCK], fj[k:k + _ROOT_COUNTS_BLOCK]
+        out[i, j] = _separable_counts(res[i, :, j].T, ps[j])
+    return out
+
+
+def _degenerate_count(a0: int, a1: int, a2: int, a3: int, p: int) -> int:
+    """#roots mod p of a3 x^3 + a2 x^2 + a1 x + a0, for residues a_i and a
+    prime p with p = 2, p | a3 or p | disc; the closed forms are proved in
+    root_counts."""
+    if p == 2:
+        return (a0 == 0) + ((a0 + a1 + a2 + a3) % 2 == 0)
+    if a3:
+        return 1 + ((a2 * a2 - 3 * a1 * a3) % p != 0)
+    if a2:
+        euler = pow(a1 * a1 - 4 * a0 * a2, (p - 1) // 2, p)
+        return 1 + (euler == 1) - (euler == p - 1)
+    if a1:
+        return 1
+    return p if a0 == 0 else 0
+
+
+def _separable_counts(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """#roots mod p of a cubic with p not dividing 2 a3 disc, for residues
+    a = (a0, a1, a2, a3, disc), a column per pair: one root, or three or none
+    as the ladder in root_counts finds x^p = x or not."""
     pw = _pow_mod(np.concatenate([a[3], a[4]]), np.concatenate([p - 2, (p - 1) // 2]),
                   np.concatenate([p, p]))
     inv, residue = pw[:p.size], pw[p.size:] == 1
-    out[fi, fj] = 1  # disc a non-residue: exactly one root
+    out = np.ones(p.size, dtype=np.int64)  # disc a non-residue: exactly one root
     # the ladder runs only where disc is a residue: three roots or none
-    fi, fj, p = fi[residue], fj[residue], p[residue]
+    p = p[residue]
     if not p.size:
         return out
     b = a[:3, residue] * inv[residue] % p  # the monic f / a3 = x^3 + b2 x^2 + b1 x + b0
@@ -204,7 +245,7 @@ def root_counts(fs, primes) -> np.ndarray:
         t = r[2] * C[0] % p  # times x: (0, r0, r1) + r2 C3
         t[1:] += r[:2]
         r = np.where(bit, t % p, r)
-    out[fi, fj] = np.where((r[0] == 0) & (r[1] == 1) & (r[2] == 0), 3, 0)
+    out[residue] = np.where((r[0] == 0) & (r[1] == 1) & (r[2] == 0), 3, 0)
     return out
 
 
@@ -223,114 +264,6 @@ def _pow_mod(base: np.ndarray, e: np.ndarray, ps: np.ndarray) -> np.ndarray:
         acc = np.where((e >> k) & 1 == 1, acc * base % ps, acc)
         base = base * base % ps
     return acc
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a, b, mod_poly, p):
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_rem(res, mod_poly, p)
-
-
-def _poly_rem(a, b, p):
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, -1, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            c = c * inv % p
-            for j, bj in enumerate(b):
-                a[i - db + j] = (a[i - db + j] - c * bj) % p
-    return _poly_trim(a[:db])
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
-def _roots_mod_p_large(cs: list[int], p: int) -> list[int]:
-    f = _poly_trim(cs[:])
-    if not f:
-        raise ValueError("zero polynomial mod p")
-    # g = gcd(x^p - x, f): its degree is the number of distinct roots
-    xp = [0, 1]
-    e = p
-    acc = [1]
-    base = xp
-    while e:
-        if e & 1:
-            acc = _poly_mulmod(acc, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    # acc = x^p mod f; subtract x
-    while len(acc) < 2:
-        acc.append(0)
-    acc[1] = (acc[1] - 1) % p
-    g = _poly_gcd(f, acc, p)
-    deg = len(g) - 1
-    if deg <= 0:
-        return []
-    # g splits into linear factors; find them (deg <= 3 here)
-    return sorted(_split_linear(g, p))
-
-
-def _split_linear(g: list[int], p: int) -> list[int]:
-    """Equal-degree splitting of a product of distinct linear factors mod p."""
-    import random
-
-    deg = len(g) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [(-g[0] * pow(g[1], -1, p)) % p]
-    rng = random.Random(0xC0FFEE ^ p ^ deg)
-    while True:
-        a = rng.randrange(p)
-        # h = (x + a)^((p-1)/2) - 1 mod g
-        base = _poly_rem([a, 1], g, p)
-        acc = [1]
-        e = (p - 1) // 2
-        while e:
-            if e & 1:
-                acc = _poly_mulmod(acc, base, g, p)
-            base = _poly_mulmod(base, base, g, p)
-            e >>= 1
-        acc = acc[:]
-        if not acc:
-            acc = [0]
-        acc[0] = (acc[0] - 1) % p
-        h = _poly_gcd(g, _poly_trim(acc), p)
-        if 0 < len(h) - 1 < deg:
-            lead = pow(h[-1], -1, p)
-            h = [c * lead % p for c in h]
-            other = _poly_quot(g, h, p)
-            return _split_linear(h, p) + _split_linear(other, p)
-
-
-def _poly_quot(a, b, p):
-    a = a[:]
-    q = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, p)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i] % p
-        if c:
-            c = c * inv % p
-            q[i - (len(b) - 1)] = c
-            for j, bj in enumerate(b):
-                a[i - (len(b) - 1) + j] = (a[i - (len(b) - 1) + j] - c * bj) % p
-    return _poly_trim(q)
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,24 @@ def test_intpoly_basics():
 
 def test_roots_mod_p_large_prime():
     f = IntPoly(-1, -1, 0, 1)
-    # the scan (p <= 3000, three roots at 2969) and the gcd-with-x^p - x path,
-    # against a direct scan
-    for p in (2969, 3001, 4999, 10007):
-        got = roots_mod_p(f, p)
-        want = [x for x in range(p) if f(x) % p == 0]
-        assert got == want
+    # root_counts against a direct scan (three roots at 2969)
+    ps = [2969, 3001, 4999, 10007]
+    want = [sum(f(x) % p == 0 for x in range(p)) for p in ps]
+    assert root_counts([f], ps)[0].tolist() == want
+
+
+def _distinct_linear_factors(f, p):
+    """#roots of f mod p as sympy counts them: its distinct linear factors."""
+    from sympy import Poly, symbols
+
+    g = Poly([f.a3, f.a2, f.a1, f.a0], symbols("x"), modulus=p)
+    return sum(h.degree() == 1 for h, _ in g.factor_list()[1])
 
 
 def test_root_counts_matches_roots_mod_p():
-    """The batched Frobenius count against the per-prime oracle, at every
-    prime <= 2000 (2, 3 and the primes dividing a3 disc among them) and at
-    primes past the scan, where _roots_mod_p_large is the oracle."""
+    """The batched Frobenius count against the scan oracle at every prime
+    <= 2000 (2, 3 and the primes dividing a3 disc among them), and against
+    sympy's factorisation at primes past the scan's reach."""
     from qdl.dedekind import classify
 
     fixed = [(-1, -1, 0, 1), (3, -7, 2, -5), (2, 0, 0, -3),  # S3, a3 = -5, -3
@@ -48,11 +54,16 @@ def test_root_counts_matches_roots_mod_p():
     small = sieve_primes(2000)
     large = [3001, 7919, 104729, 1299709, 2 ** 31 - 1]
     ps = np.array(small + large)
+
+    def oracle(f):
+        return ([len(roots_mod_p(f, p)) for p in small]
+                + [_distinct_linear_factors(f, p) for p in large])
+
     # one call on every cubic: rows with different slow-prime sets share one ladder
     batched = root_counts(cubics, ps)
     assert batched.dtype == np.int64 and batched.shape == (len(cubics), ps.size)
     for f, row in zip(cubics, batched):
-        want = [len(roots_mod_p(f, p)) for p in small + large]
+        want = oracle(f)
         got = root_counts([f], ps)
         assert got.shape == (1, ps.size)
         assert got[0].tolist() == want, f
@@ -60,9 +71,42 @@ def test_root_counts_matches_roots_mod_p():
     assert root_counts(cubics, []).shape == (len(cubics), 0)
     # coefficients past int64 are reduced as Python ints
     huge = IntPoly(2 ** 64 + 3, -1, 0, 1)
-    assert root_counts([huge, cubics[0]], ps)[0].tolist() == [len(roots_mod_p(huge, p))
-                                                               for p in small + large]
+    assert root_counts([huge, cubics[0]], ps)[0].tolist() == oracle(huge)
     assert root_counts(cubics[:1], []).shape == (1, 0)
+    # f = 0 mod p: every residue is a root, on both sides of the old scan limit
+    assert root_counts([IntPoly(0, 0, 0, 0)], [2999, 3001]).tolist() == [[2999, 3001]]
+    assert root_counts([IntPoly(3001, 0, 0, 3001)], [3001]).tolist() == [[3001]]
+
+
+def test_root_counts_closed_forms_match_scan():
+    """Every pair with p = 2, p | a3 or p | disc is counted in closed form;
+    check each such pair of the cubics with coefficients in [-3, 3] (f = 0
+    included) at p <= 199 against the scan."""
+    import itertools
+
+    cubics = [IntPoly(*c) for c in itertools.product(range(-3, 4), repeat=4)]
+    ps = sieve_primes(199)
+    table = root_counts(cubics, ps)
+    pairs = 0
+    for f, row in zip(cubics, table.tolist()):
+        disc = f.disc()
+        for p, got in zip(ps, row):
+            if p == 2 or f.a3 % p == 0 or disc % p == 0:
+                assert got == len(roots_mod_p(f, p)), (f, p)
+                pairs += 1
+    assert pairs == 23_722
+
+
+def test_root_counts_blocks_are_exact(monkeypatch):
+    """Walking the ladder in blocks of 7 pairs gives the one-block table."""
+    from qdl import residues
+
+    rng = np.random.default_rng(23)
+    cubics = [IntPoly(*(int(x) for x in rng.integers(-50, 51, 4))) for _ in range(6)]
+    ps = sieve_primes(500) + [2 ** 31 - 1]
+    whole = root_counts(cubics, ps)
+    monkeypatch.setattr(residues, "_ROOT_COUNTS_BLOCK", 7)
+    assert np.array_equal(root_counts(cubics, ps), whole)
 
 
 def test_root_counts_rejects_primes_past_int64_safety():
