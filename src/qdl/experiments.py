@@ -348,6 +348,8 @@ def _alpha1_candidates(X: float, phi, cong: CongruenceData,
                        slot: int) -> tuple[np.ndarray, np.ndarray]:
     """Integer alphas in the scaled support box with the slot's M-congruence
     and a nonzero weight, as an (n, 4) int64 array and their weights."""
+    if not (math.isfinite(X) and X > 0):
+        raise ValueError(f"the scale X must be finite and positive, got {X}")
     beta = (cong.beta1p if slot == 1 else cong.beta2p).coords
     axes = _box_axes(X, phi, beta, cong.M)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
@@ -356,8 +358,10 @@ def _alpha1_candidates(X: float, phi, cong: CongruenceData,
     return pts[keep], w[keep]
 
 
-# column pairs (i, j) of the 2x4 matrix A of x -> ell(alpha1 x); the scan
-# solves for coordinates i, j of alpha2 and runs the other two over the box
+# coordinate pairs (i, j), the complement of pair p at 5 - p.  The scan solves
+# for coordinates i, j of alpha2 (columns of the 2x4 matrix A of
+# x -> ell(alpha1 x)) and runs the other two over the box; _inner_integrals
+# integrates over (t_i, t_j) and computes the other two
 _MINORS = tuple(itertools.combinations(range(4), 2))
 # (alpha1, free point) candidates held in memory at once by the scan
 _SCAN_CHUNK = 1 << 16
@@ -471,8 +475,8 @@ def theorem2_lhs_oracle(cfg: ExperimentConfig, phi1: ArchWeight, phi2: ArchWeigh
 
 
 # midpoint nodes per axis of sigma_infinity's inner integral, and the samples
-# whose inner integrals are evaluated at once (16 * 32^2 = 2^14 phi2 values)
-_INNER_NODES = 32
+# whose inner integrals are evaluated at once
+_INNER_NODES = 28
 _INNER_CHUNK = 16
 
 
@@ -481,34 +485,55 @@ def _inner_integrals(phi2: ArchWeight, x1: np.ndarray) -> np.ndarray:
 
     Substituting y = x1 x2 (|det| of multiplication by x1 is |N(x1)|) and
     ell(y) = (y3, y2) leaves |N(x1)|^-1 int int phi2(x1^-1 (u + v z)) du dv.
-    The (u, v) box is the image of phi2's box under rows 0 and 1 of
-    mult_matrix(x1); the integrand is C^infty with compact support inside it,
-    so the midpoint rule there converges spectrally.
+    Coordinate c of x2, in phi2's unit box, is t_c = Q_c . (u, v) + o_c (Q:
+    columns 0, 1 of x1^-1 over the box widths; o_c = -lo_c / span_c).
+
+    The midpoint rule runs over the unit square of the (t_a, t_b) whose minor
+    m_ab = det(Q_a; Q_b) has the largest |det|, with du dv = dt_a dt_b / |m_ab|.
+    By Cramer's rule each other coordinate is t_e = K_e0 (t_a - o_a) +
+    K_e1 (t_b - o_b) + o_e with K_e0 = m_eb / m_ab and K_e1 = m_ae / m_ab,
+    minors over the largest one, so |K_el| <= 1 and the slice where all four
+    t_c lie in (0, 1) is never a thin sliver of the square.  The integrand is
+    C^infty with compact support inside the square, so the rule converges
+    spectrally; the bumps of a and b are one fixed table of the nodes,
+    1/(tau_i (1 - tau_i)) + 1/(tau_j (1 - tau_j)), and only the two t_e are
+    computed per node.
     """
     mats = mult_matrices(x1)
-    inv = np.linalg.inv(mats)
     lo, hi = np.array(phi2.boxes).T
-    a, b = mats[:, :2, :] * lo, mats[:, :2, :] * hi
-    ulo = np.minimum(a, b).sum(axis=2)
-    width = np.maximum(a, b).sum(axis=2) - ulo
-    uv = ulo[:, :, None] + width[:, :, None] * ((np.arange(_INNER_NODES) + 0.5) / _INNER_NODES)
-    # coordinate c of x2 = x1^-1 (u_i + v_j z) in phi2's unit box is
-    # t_c = row[c, :, i] + col[c, :, j], and phi2 = prod(scale) exp(-sum_c
-    # 1/max(t_c (1 - t_c), 0)): a node outside the box adds 1/0 = inf, so 0
-    span = (hi - lo)[:, None, None]
+    Q = np.linalg.inv(mats)[:, :, :2] / (hi - lo)[:, None]
+    o = -lo / (hi - lo)
+    rows = np.arange(len(x1))[:, None]
+
+    def minor(i, j):
+        return Q[rows, i, 0] * Q[rows, j, 1] - Q[rows, i, 1] * Q[rows, j, 0]
+
+    pairs = np.array(_MINORS)
+    minors = minor(pairs[:, 0], pairs[:, 1])
+    pick = np.abs(minors).argmax(axis=1)
+    det = minors[rows[:, 0], pick][:, None]
+    a, b = pairs[pick, 0][:, None], pairs[pick, 1][:, None]
+    e = pairs[5 - pick]
+    k0, k1 = minor(e, b) / det, minor(a, e) / det
+    tau = (np.arange(_INNER_NODES) + 0.5) / _INNER_NODES
+    axis = 1.0 / (tau * (1.0 - tau))
+    table = axis[:, None] + axis
+    # t_e at node (i, j) is row[k, :, i] + col[k, :, j] for e = e[:, k], and
+    # phi2 = prod(scale) exp(-sum_c 1/max(t_c (1 - t_c), 0)): a node outside
+    # the box adds 1/0 = inf, so 0
+    row = k0.T[:, :, None] * tau + (o[e] - k0 * o[a] - k1 * o[b]).T[:, :, None]
+    col = k1.T[:, :, None] * tau
     f = np.empty(len(x1))
     for s in range(0, len(x1), _INNER_CHUNK):
         c = slice(s, s + _INNER_CHUNK)
-        row = (uv[None, c, 0, :] * inv[c, :, 0].T[:, :, None] - lo[:, None, None]) / span
-        col = uv[None, c, 1, :] * inv[c, :, 1].T[:, :, None] / span
-        expo = np.zeros((row.shape[1], _INNER_NODES, _INNER_NODES))
+        expo = table
         with np.errstate(divide="ignore", over="ignore"):
-            for r, q in zip(row, col):
+            for r, q in zip(row[:, c], col[:, c]):
                 t = r[:, :, None] + q[:, None, :]
-                expo += 1.0 / np.maximum(t * (1.0 - t), 0.0)
+                expo = expo + 1.0 / np.maximum(t * (1.0 - t), 0.0)
         f[c] = np.exp(-expo).reshape(len(expo), -1).sum(axis=1)
     scale = math.prod(bump.scale for bump in phi2.bumps)
-    return f * scale * width.prod(axis=1) / _INNER_NODES ** 2 / np.abs(np.linalg.det(mats))
+    return f * scale / _INNER_NODES ** 2 / np.abs(det[:, 0] * np.linalg.det(mats))
 
 
 def sigma_infinity(phi1: ArchWeight, phi2: ArchWeight, mc_samples: int = 30_000,

@@ -49,6 +49,13 @@ def test_usage_errors():
         r = run_cli("thm2-check", "--X1", "4", "--X2", "4", "--pairs", "1",
                     "--mc-samples", samples)
         assert r.returncode == 1 and r.stdout == "" and "mc_samples >= 2" in r.stderr, r.stderr
+    # a scale X <= 0 is refused, not scanned into a vacuous pass or a zero sum
+    for cmd in (("thm2-check", "--X1", "0", "--X2", "4", "--pairs", "1"),
+                ("thm2-check", "--X1", "-4", "--X2", "4", "--pairs", "1"),
+                ("prop5-check", "--X1", "-4", "--X2", "-4", "--D", "3")):
+        r = run_cli(*cmd)
+        assert r.returncode == 1 and r.stdout == "" and "finite and positive" in r.stderr, \
+            (cmd, r.stderr)
 
 
 def test_s1_subcommand_brute_fast():

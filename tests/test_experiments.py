@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -299,20 +300,57 @@ def test_sigma_infinity_chunking_is_exact(monkeypatch):
 
 def _inner_integrals_per_bump(phi2, x1):
     """The inner integral on _inner_integrals' nodes, with phi2 evaluated
-    point by point: x2 = x1^-1 (u + v z) at every node of the (u, v) grid,
-    then ArchWeight.eval_rows, one bump per coordinate."""
+    point by point.  Per sample x1: the coordinates (a, b) whose 2x2 minor
+    of Q (row c: columns 0 and 1 of x1^-1 over phi2's width span_c) has the
+    largest |det|; at each midpoint (t_a, t_b) of the unit square, (u, v)
+    solved from x2_a = lo_a + t_a span_a and x2_b = lo_b + t_b span_b on the
+    plane x2 = x1^-1 (u + v z); then ArchWeight.eval_rows, one bump per
+    coordinate.  Returns (values, x2 at every node, the other two
+    coordinates of every sample)."""
+    lo, hi = np.array(phi2.boxes).T
+    span = hi - lo
+    n = experiments._INNER_NODES
+    tau = (np.arange(n) + 0.5) / n
+    ta, tb = (g.ravel() for g in np.meshgrid(tau, tau, indexing="ij"))
+    vals, nodes, others = [], [], []
+    for mat in mult_matrices(x1):
+        plane = np.linalg.inv(mat)[:, :2]
+        a, b = max(itertools.combinations(range(4), 2),
+                   key=lambda ab: abs(np.linalg.det(plane[list(ab)])) / span[list(ab)].prod())
+        uv = np.linalg.solve(plane[[a, b]], np.stack([lo[a] + ta * span[a],
+                                                      lo[b] + tb * span[b]]))
+        x2 = (plane @ uv).T
+        jac = span[a] * span[b] / abs(np.linalg.det(plane[[a, b]]))
+        vals.append(phi2.eval_rows(x2).sum() * jac / n ** 2 / abs(np.linalg.det(mat)))
+        nodes.append(x2)
+        others.append([c for c in range(4) if c not in (a, b)])
+    return np.array(vals), np.array(nodes), np.array(others)
+
+
+def _inner_integrals_uv_box(phi2, x1, nodes=32):
+    """The former rule: a nodes x nodes midpoint rule on the bounding box of
+    phi2's box projected to (u, v), every coordinate recomputed per node."""
     mats = mult_matrices(x1)
     inv = np.linalg.inv(mats)
     lo, hi = np.array(phi2.boxes).T
     a, b = mats[:, :2, :] * lo, mats[:, :2, :] * hi
     ulo = np.minimum(a, b).sum(axis=2)
     width = np.maximum(a, b).sum(axis=2) - ulo
-    n = experiments._INNER_NODES
-    uv = ulo[:, :, None] + width[:, :, None] * ((np.arange(n) + 0.5) / n)
-    x2 = (uv[:, 0, :, None, None] * inv[:, None, None, :, 0]
-          + uv[:, 1, None, :, None] * inv[:, None, None, :, 1])
-    f = phi2.eval_rows(x2.reshape(-1, 4)).reshape(len(x1), -1).sum(axis=1)
-    return f * width.prod(axis=1) / n ** 2 / np.abs(np.linalg.det(mats)), x2
+    uv = ulo[:, :, None] + width[:, :, None] * ((np.arange(nodes) + 0.5) / nodes)
+    span = (hi - lo)[:, None, None]
+    f = np.empty(len(x1))
+    for s in range(0, len(x1), 16):
+        c = slice(s, s + 16)
+        row = (uv[None, c, 0, :] * inv[c, :, 0].T[:, :, None] - lo[:, None, None]) / span
+        col = uv[None, c, 1, :] * inv[c, :, 1].T[:, :, None] / span
+        expo = np.zeros((row.shape[1], nodes, nodes))
+        with np.errstate(divide="ignore", over="ignore"):
+            for r, q in zip(row, col):
+                t = r[:, :, None] + q[:, None, :]
+                expo += 1.0 / np.maximum(t * (1.0 - t), 0.0)
+        f[c] = np.exp(-expo).reshape(len(expo), -1).sum(axis=1)
+    scale = math.prod(bump.scale for bump in phi2.bumps)
+    return f * scale * width.prod(axis=1) / nodes ** 2 / np.abs(np.linalg.det(mats))
 
 
 def _edge_crossing_batch():
@@ -329,19 +367,50 @@ def _edge_crossing_batch():
     return out
 
 
+def _lattice_count_batches():
+    """The x1 stacks that sigma_infinity(phi1, phi2, 250, seed) integrates
+    over, for the lattice-count benchmark's 12 pairs at 4 seeds each."""
+    out = []
+    for j, (phi1, phi2) in enumerate(ArchWeight.rotated_generic_pairs(12)):
+        lo, hi = np.array(phi1.boxes).T
+        for seed in range(900 + j, 948, 12):
+            x1 = np.random.default_rng(seed).uniform(lo, hi, size=(250, 4))
+            out.append((phi2, x1[phi1.eval_rows(x1) > 0]))
+    return out
+
+
 def test_inner_integral_kernel_matches_per_bump_oracle():
     edge = _edge_crossing_batch()
+    below, above = set(), set()
     for phi2, x1 in edge:
-        # nodes beyond both edges of phi2's box in every coordinate
+        # each coordinate, at the nodes of samples where it is not one of the
+        # square's two, runs beyond both edges of phi2's box
         lo, hi = np.array(phi2.boxes).T
-        pts = _inner_integrals_per_bump(phi2, x1)[1].reshape(-1, 4)
-        assert (pts.min(axis=0) < lo).all() and (pts.max(axis=0) > hi).all()
+        _, nodes, others = _inner_integrals_per_bump(phi2, x1)
+        for pts, cs in zip(nodes, others):
+            below.update(int(c) for c in cs if pts[:, c].min() < lo[c])
+            above.update(int(c) for c in cs if pts[:, c].max() > hi[c])
+    assert below == above == {0, 1, 2, 3}
     for phi2, x1 in _sigma_samples() + edge:
         want = _inner_integrals_per_bump(phi2, x1)[0]
         got = _inner_integrals(phi2, x1)
         assert want.max() > 0
         assert np.abs(got - want).max() <= 1e-12 * want.max(), \
             np.abs(got - want).max() / want.max()
+
+
+@pytest.mark.parametrize("batches", [
+    _sigma_samples, _edge_crossing_batch,
+    pytest.param(_lattice_count_batches, marks=pytest.mark.slow)])
+def test_inner_rule_no_less_accurate_than_uv_box(batches):
+    """Against the former (u, v) rule at 128 nodes, the rule at _INNER_NODES
+    errs by no more than the former rule did at 32."""
+    new = old = 0.0
+    for phi2, x1 in batches():
+        ref = _inner_integrals_uv_box(phi2, x1, 128)
+        new = max(new, np.abs(_inner_integrals(phi2, x1) - ref).max() / ref.max())
+        old = max(old, np.abs(_inner_integrals_uv_box(phi2, x1) - ref).max() / ref.max())
+    assert 0 < new <= old, (new, old)
 
 
 def test_sigma_infinity_matches_per_bump_oracle(monkeypatch):
