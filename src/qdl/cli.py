@@ -230,6 +230,8 @@ def dispatch(args) -> int:
     if cmd == "delta1d-check":
         from .delta import delta1d
 
+        if args.nmax < 0:
+            raise ValueError(f"nmax must be >= 0, got {args.nmax}")
         _, w2 = _delta_weights()
         worst = 0.0
         rows = []
@@ -438,7 +440,7 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return dispatch(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # OSError: an --out path that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 1
     except InvariantError as e:

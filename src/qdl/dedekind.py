@@ -78,7 +78,11 @@ def classify(f: IntPoly) -> CubicFieldDesc:
 
 
 def lambda_p(desc: CubicFieldDesc, p: int) -> int:
-    """lambda(p) = -1 + #roots of f mod p, at good primes of an S3 cubic."""
+    """lambda(p) = -1 + #roots of f mod p, at good primes of an S3 cubic.
+
+    A per-integer oracle with no src/ caller, one root_counts call each: code
+    that needs many lambda values takes one table, as rankin_partial does.
+    """
     if desc.galois_type != "S3":
         raise ValueError("lambda is defined here only for S3 cubics")
     if p in desc.bad_primes:
@@ -97,7 +101,11 @@ def _lambda_prime_power(nroots: int, j: int) -> int:
 
 
 def lambda_n(desc: CubicFieldDesc, n: int) -> int:
-    """Multiplicative extension of lambda to integers coprime to bad primes."""
+    """Multiplicative extension of lambda to integers coprime to bad primes.
+
+    A per-integer oracle with no src/ caller, one root_counts call each: code
+    that needs many lambda values takes one table, as rankin_partial does.
+    """
     if desc.galois_type != "S3":
         raise ValueError("lambda is defined here only for S3 cubics")
     if n < 1:
@@ -159,6 +167,9 @@ def hecke_check(desc: CubicFieldDesc, p: int) -> bool:
 
     chi is the Kronecker symbol of the fundamental discriminant attached to
     Disc(f) (the central character of the quadratic resolvent field).
+
+    A per-integer oracle with no src/ caller, one root_counts call each: code
+    that needs many lambda values takes one table, as rankin_partial does.
     """
     if desc.galois_type != "S3":
         raise ValueError("hecke_check requires an S3 cubic")
@@ -237,77 +248,46 @@ def _squarefree_coprime_mask(primes: np.ndarray, qmax: int, bad) -> np.ndarray:
 def galois_count_sweep(Y: float) -> int:
     """#{alpha in O_K : |alpha|_sup < Y, Gal(f_alpha) != S3}, exactly.
 
-    Degenerate (n3 = 0) and square-discriminant candidates are counted by a
-    vectorized box scan filtered by |.|_sup < Y; reducible cubics are found
-    by enumerating their rational roots -a/b (b | n3, a | n0 force
-    |a|, b <= Y) and collecting the rank-3 solution lattices into a set, so
-    multiple factorizations never double count.
+    f_alpha is not S3 when it is degenerate (n3 = 0), reducible, or has a
+    square discriminant (A3; disc = 0 implies a rational root).  Each such
+    coordinate vector in [-B, B]^4, B = ceil(Y), is listed as one int64 key
+    sum (n_i + B)(2B + 1)^i, and the distinct keys with |.|_sup < Y are
+    counted.  A cubic with rational root -a/b (lowest terms, b >= 1) factors
+    over Z as (b x + a)(m x^2 + w x + u) by Gauss: n3 = b m, n2 = a m + b w,
+    n1 = a w + b u, n0 = a u.  So per coprime (a, b) the (m, n2, u) grid with
+    b | n2 - a m lists every reducible cubic in the box with that root.
     """
+    if not (math.isfinite(Y) and Y > 0):
+        raise ValueError(f"the sweep needs a finite Y > 0, got {Y}")
     if Y > GALOIS_SWEEP_YMAX:
         raise ValueError(f"sweep budget capped at Y <= {GALOIS_SWEEP_YMAX}")
     B = int(math.ceil(Y))
+    W = 2 * B + 1
     grid = np.arange(-B, B + 1)
-    g0, g1, g2 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
+    n0, n1, n2 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
 
-    def box(n3):  # every (n0, n1, n2, n3) with |n0|, |n1|, |n2| <= B
-        return np.stack([g0, g1, g2, np.full(g0.size, n3, dtype=np.int64)], axis=1)
+    def key(n0, n1, n2, n3):  # < W^4 <= 121^4 < 2.2e8 under GALOIS_SWEEP_YMAX
+        return (((n3 + B) * W + n2 + B) * W + n1 + B) * W + n0 + B
 
-    # --- degenerate: n3 = 0 --------------------------------------------------
-    degen = int(np.count_nonzero(sup_norms(box(0)) < Y))
-
-    # --- square discriminant among n3 != 0 (A3 plus some reducible) ----------
-    sq_set: set[tuple] = set()
-    for n3 in range(-B, B + 1):
-        if n3 == 0:
-            continue
-        arr = box(n3)
-        arr = arr[sup_norms(arr) < Y]
-        d, c, b, a = arr.T  # a is the x^3 coefficient
-        disc = (18 * a * b * c * d - 4 * b ** 3 * d + b ** 2 * c ** 2
-                - 4 * a * c ** 3 - 27 * a ** 2 * d ** 2)
-        nonneg = disc >= 0
-        r = np.zeros_like(disc)
-        r[nonneg] = np.sqrt(disc[nonneg].astype(np.float64)).astype(np.int64)
-        issq = np.zeros_like(nonneg)
-        for adj in (-1, 0, 1, 2):
-            issq |= nonneg & ((r + adj) ** 2 == disc)
-        for row in arr[issq]:
-            sq_set.add(tuple(int(x) for x in row))
-
-    # --- reducible (n3 != 0): factor as (b x + a)(m x^2 + w x + u) -----------
-    # A cubic with rational root -a/b (lowest terms, b >= 1) factors over Z by
-    # Gauss; coordinates are n3 = b m, n2 = a m + b w, n1 = a w + b u, n0 = a u,
-    # so enumerating (a, b, m, w, u) with the box bounds |n_i| <= B catches
-    # every reducible cubic at least once and the set dedupes repeats.
-    cand: set[tuple] = set()
-    for b in range(1, B + 1):
+    keys = []
+    for n3 in range(-B, B + 1):  # degenerate, or a square discriminant
+        disc = (18 * n3 * n2 * n1 * n0 - 4 * n2 ** 3 * n0 + n2 ** 2 * n1 ** 2
+                - 4 * n3 * n1 ** 3 - 27 * n3 ** 2 * n0 ** 2)
+        root = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int64)  # exact below 2^52
+        k = (n3 == 0) | (root * root == disc)
+        keys.append(key(n0[k], n1[k], n2[k], n3))
+    for b in range(1, B + 1):  # reducible
+        m = np.arange(-(B // b), B // b + 1)[:, None, None]
         for a in range(-B, B + 1):
             if gcd(a, b) != 1:
                 continue
-            for m in range(-(B // b), B // b + 1):
-                if m == 0:
-                    continue
-                wlo = int(math.floor((-B - a * m) / b))
-                whi = int(math.ceil((B - a * m) / b))
-                for w in range(wlo, whi + 1):
-                    n2 = a * m + b * w
-                    if abs(n2) > B:
-                        continue
-                    if a == 0:
-                        ulo, uhi = -B, B
-                    else:
-                        ulo, uhi = -(B // abs(a)), B // abs(a)
-                    for u in range(ulo, uhi + 1):
-                        n1 = a * w + b * u
-                        n0 = a * u
-                        if abs(n1) > B or abs(n0) > B:
-                            continue
-                        if abs(b * m) <= B:
-                            cand.add((n0, n1, n2, b * m))
-    arr = np.array(list(cand), dtype=np.int64).reshape(-1, 4)
-    red_set = {tuple(int(x) for x in row) for row in arr[sup_norms(arr) < Y]}
-
-    a3_reducible = sum(1 for t in sq_set if t in red_set)
-    # A3 = square disc, irreducible, n3 != 0 (disc = 0 is always reducible)
-    a3 = len(sq_set) - a3_reducible
-    return degen + len(red_set) + a3
+            umax = B // abs(a) if a else B  # |n0| = |a u| <= B, or |n1| = |b u| <= B
+            u = np.arange(-umax, umax + 1)
+            w, r = np.divmod(grid[:, None] - a * m, b)  # the (m, n2, u) grid, n2 on axis 1
+            n1k = a * w + b * u
+            i, j, k = np.nonzero((r == 0) & (np.abs(n1k) <= B))  # m = 0 adds only n3 = 0 keys
+            keys.append(key(a * u[k], n1k[i, j, k], grid[j], b * m[i, 0, 0]))
+    keys = np.sort(np.concatenate(keys))  # Y = 40, 2-core host: 0.04 s; numpy 2.4 np.unique 2.1 s
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    coords = keys[:, None] // W ** np.arange(4) % W - B  # the key's digits, n0 first
+    return int(np.count_nonzero(sup_norms(coords) < Y))

@@ -20,7 +20,6 @@ import math
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import CycInt
 from .residues import divisors
 from .weights import BumpWeight
 
@@ -121,10 +120,6 @@ def involution_identity_gap(n: tuple[int, int], D: float, omega1: BumpWeight) ->
 # Poisson summation over K
 # ---------------------------------------------------------------------------
 
-def _gaussian(coords) -> float:
-    return math.exp(-math.pi * sum(c * c for c in coords))
-
-
 def poisson_check(X: float, gamma: int, g_table: dict[tuple, complex],
                   tail: float = 1e-12) -> tuple[complex, complex]:
     """Both sides of Poisson summation over O_K for w = coordinate Gaussian.
@@ -133,57 +128,26 @@ def poisson_check(X: float, gamma: int, g_table: dict[tuple, complex],
     Under the unimodular trace pairing the Gaussian is self-dual
     (hat w(y) = exp(-pi |P y|^2) with P the Gram permutation, and |Py| = |y|),
     so both sides are plain lattice sums with superexponentially small tails.
+    As w is a tensor product, each side is sum over r mod gamma of
+    g(r) prod_i s(r_i), with s the 1D Gaussian summed per residue class.
     """
+    import numpy as np
+
+    from .cyclotomic import ell_matrices
+
     if gamma == 0:
         raise ValueError("gamma must be a nonzero rational integer")
     gamma = abs(gamma)
-    sqrtN = gamma ** 2  # N(gamma) = gamma^4 for rational gamma
+    res = np.indices((gamma,) * 4).reshape(4, -1).T  # every r mod gamma, r0 slowest
+    g = np.array([g_table[tuple(r)] for r in res.tolist()], dtype=complex)
 
-    # truncation radius: exp(-pi r^2 / X^2) < tail
-    R = math.ceil(X * math.sqrt(math.log(1 / tail) / math.pi)) + 1
-    lhs = 0.0 + 0.0j
-    rng = range(-R, R + 1)
-    for c0 in rng:
-        for c1 in rng:
-            for c2 in rng:
-                for c3 in rng:
-                    w = _gaussian((c0 / X, c1 / X, c2 / X, c3 / X))
-                    if w == 0.0:
-                        continue
-                    gv = g_table[(c0 % gamma, c1 % gamma, c2 % gamma, c3 % gamma)]
-                    if gv:
-                        lhs += gv * w
+    def theta(scale: float) -> np.ndarray:  # prod_i s(r_i) for exp(-pi (c/scale)^2), over res
+        R = math.ceil(scale * math.sqrt(math.log(1 / tail) / math.pi)) + 1  # term at R < tail
+        c = np.arange(-R, R + 1)
+        s = np.bincount(c % gamma, np.exp(-math.pi * (c / scale) ** 2), minlength=gamma)
+        return np.einsum("a,b,c,d->abcd", s, s, s, s).ravel()
 
-    # hat g_gamma(alpha) = N(gamma)^(-1/2) sum_beta g(beta) psi_gamma(alpha beta);
-    # it only depends on alpha mod gamma, so tabulate it once
-    import cmath
-
-    roots = [cmath.exp(2j * cmath.pi * r / gamma) for r in range(gamma)]
-    residues = [(CycInt(*b), gv) for b, gv in g_table.items() if gv]
-    ghat: dict[tuple, complex] = {}
-    rng_g = range(gamma)
-    for a0 in rng_g:
-        for a1 in rng_g:
-            for a2 in rng_g:
-                for a3 in rng_g:
-                    alpha = CycInt(a0, a1, a2, a3)
-                    acc = 0.0 + 0.0j
-                    for beta, gv in residues:
-                        acc += gv * roots[(alpha * beta).c3 % gamma]
-                    ghat[(a0, a1, a2, a3)] = acc / sqrtN
-
+    # hat g(alpha) = N(gamma)^(-1/2) sum_beta g(beta) e(<alpha beta, 1>/gamma), N(gamma) = gamma^4
+    ghat = np.exp(2j * np.pi * (ell_matrices(res)[:, 0] @ res.T % gamma) / gamma) @ g / gamma ** 2
     # rhs = X^4 / sqrt(N) * sum_alpha hat g(alpha) hat w(alpha X / gamma)
-    R2 = math.ceil(gamma / X * math.sqrt(math.log(1 / tail) / math.pi)) + 1
-    rng2 = range(-R2, R2 + 1)
-    rhs = 0.0 + 0.0j
-    for a0 in rng2:
-        for a1 in rng2:
-            for a2 in rng2:
-                for a3 in rng2:
-                    wh = _gaussian((a0 * X / gamma, a1 * X / gamma,
-                                    a2 * X / gamma, a3 * X / gamma))
-                    if wh == 0.0:
-                        continue
-                    rhs += ghat[(a0 % gamma, a1 % gamma, a2 % gamma, a3 % gamma)] * wh
-    rhs *= X ** 4 / sqrtN
-    return lhs, rhs
+    return complex(g @ theta(X)), complex(ghat @ theta(gamma / X) * X ** 4 / gamma ** 2)

@@ -70,20 +70,20 @@ class FitReport:
 
 
 def fit_loglog(xs: list[float], ys: list[float]) -> tuple[float, tuple[float, float]]:
-    """OLS slope of log|y| vs log x with a 95% confidence interval."""
+    """OLS slope of log|y| vs log x with a 95% confidence interval, from at
+    least 3 distinct x (fewer leave no residual degree of freedom)."""
+    if len(set(xs)) < 3:
+        raise ValueError(f"a log-log fit needs at least 3 distinct x, got {list(xs)}")
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.maximum(np.abs(np.asarray(ys, dtype=float)), 1e-300))
     n = len(lx)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    if n > 2:
-        s2 = float(resid @ resid) / (n - 2)
-        se = math.sqrt(s2 / float(((lx - lx.mean()) ** 2).sum()))
-    else:
-        se = 0.0
+    s2 = float(resid @ resid) / (n - 2)
+    se = math.sqrt(s2 / float(((lx - lx.mean()) ** 2).sum()))
     # two-sided 95% t-quantiles for small n
     tq = {1: 12.7, 2: 4.30, 3: 3.18, 4: 2.78, 5: 2.57, 6: 2.45, 7: 2.36, 8: 2.31}
-    t = tq.get(max(n - 2, 1), 2.0)
+    t = tq.get(n - 2, 2.0)
     return float(slope), (float(slope - t * se), float(slope + t * se))
 
 
@@ -192,6 +192,10 @@ def level_of_distribution(Q: int, X: float, q0: int = 1, a0: int = 0,
     [0, 1]^2 with 0 outside; S_q counts lattice points of X*region on the
     solution lines of m^4 + n^4 = 0 (mod q).
     """
+    if not (math.isfinite(X) and X > 0):
+        raise ValueError(f"the scale X must be finite and positive, got {X}")
+    if Q < 1:
+        raise ValueError(f"the level Q must be >= 1, got {Q}")
     x0, x1, y0, y1 = region
     if not (0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1) or (x0 == 0 and y0 == 0):
         raise ValueError("region must be a rectangle in [0,1]^2 avoiding 0")

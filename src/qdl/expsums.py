@@ -149,6 +149,8 @@ def s2_brute(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
     """S2 by direct enumeration of residue pairs mod dq (the oracle)."""
     if gcd(c[0], c[1]) != 1:
         raise ValueError("c must be primitive")
+    if d < 1 or q < 1:
+        raise ValueError(f"S2 needs d, q >= 1, got d = {d}, q = {q}")
     if d * q > S2_BRUTE_DQMAX:
         raise BudgetExceeded(f"brute-force S2 capped at dq <= {S2_BRUTE_DQMAX}")
     n = d * q
@@ -253,6 +255,8 @@ def s2_fast(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
     beta1-coset character sums mod dq."""
     if gcd(c[0], c[1]) != 1:
         raise ValueError("c must be primitive")
+    if d < 1 or q < 1:
+        raise ValueError(f"S2 needs d, q >= 1, got d = {d}, q = {q}")
     n = d * q
     if n > S2_FAST_DQMAX:
         raise BudgetExceeded(f"fast S2 capped at dq <= {S2_FAST_DQMAX}")

@@ -29,7 +29,7 @@ def test_divisor_sum_subcommand(tmp_path):
     assert out.read_text() == r.stdout
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path, capsys):
     assert run_cli("rho", "--q", "0").returncode == 1
     assert run_cli("no-such-command").returncode == 1
     assert run_cli("divisor-sum", "--N", "100000000000").returncode == 1
@@ -56,6 +56,20 @@ def test_usage_errors():
         r = run_cli(*cmd)
         assert r.returncode == 1 and r.stdout == "" and "finite and positive" in r.stderr, \
             (cmd, r.stderr)
+    # bad inputs the library refuses, run in-process: exit 1 with error: and no stdout
+    for argv in (["s2", "--q", "2", "--d", "0"], ["s2", "--q", "0"],
+                 ["s2", "--q", "2", "--d", "-1"],
+                 ["thm1-report", "--N-grid", "100"],
+                 ["thm1-report", "--N-grid", "100", "100", "100"],
+                 ["galois-sweep", "--Y", "5"], ["galois-sweep", "--Y", "-1"],
+                 ["galois-sweep", "--Y", "nan", "2", "4"],
+                 ["level-dist", "--X", "-50"], ["level-dist", "--X", "inf"],
+                 ["level-dist", "--Q", "0"],
+                 ["delta1d-check", "--nmax", "-3"],
+                 ["--out", str(tmp_path / "no-such-dir" / "x.json"), "rho", "--q", "5"]):
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:"), (argv, out, err)
 
 
 def test_s1_subcommand_brute_fast():

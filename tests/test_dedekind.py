@@ -235,6 +235,14 @@ def test_galois_sweep_matches_bruteforce():
         galois_count_sweep(100.0)
 
 
+def test_galois_sweep_pinned_counts():
+    """Exact counts on criterion 12's grid, where brute_nonS3 is too slow to run."""
+    assert [galois_count_sweep(Y) for Y in (10.0, 20.0)] == [7945, 71465]
+    for Y in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            galois_count_sweep(Y)
+
+
 def test_galois_sweep_box_containment():
     # total count is at most the box count ~ (2Y+1)^4
     Y = 6.0

@@ -163,6 +163,23 @@ def test_poisson_character_table():
     assert abs(lhs - rhs) < 1e-8
 
 
+def test_poisson_lhs_closed_forms():
+    """lhs against Jacobi theta values from mpmath, which shares no code with
+    poisson_check: theta_3(e^-pi)^4 = (pi^(1/4)/Gamma(3/4))^4 at gamma = 1,
+    and at gamma = 2 the class (1, 0, 1, 1) sums three odd coordinates and one
+    even one, theta_2(q)^3 theta_3(q) with q = e^(-4 pi/X^2), X^2 = 1.69."""
+    import mpmath
+
+    lhs, _ = poisson_check(1.0, 1, {(0, 0, 0, 0): 1.0})
+    assert lhs == pytest.approx((math.pi ** 0.25 / math.gamma(0.75)) ** 4, rel=1e-11)
+    g = {t: (1.0 if t == (1, 0, 1, 1) else 0.0)
+         for t in itertools.product(range(2), repeat=4)}
+    lhs, _ = poisson_check(1.3, 2, g)
+    q = mpmath.exp(-4 * mpmath.pi / 1.69)
+    assert lhs == pytest.approx(float(mpmath.jtheta(2, 0, q) ** 3 * mpmath.jtheta(3, 0, q)),
+                                rel=1e-11)
+
+
 def test_poisson_rejects_zero_gamma():
     with pytest.raises(ValueError):
         poisson_check(1.0, 0, {})

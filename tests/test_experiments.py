@@ -60,6 +60,9 @@ def test_fit_loglog():
     slope, ci = fit_loglog(xs, ys)
     assert abs(slope - 0.5) < 1e-9
     assert ci[0] <= slope <= ci[1]
+    for few in ([10.0], [10.0, 100.0], [10.0, 10.0, 100.0]):  # no residual degree of freedom
+        with pytest.raises(ValueError):
+            fit_loglog(few, [1.0] * len(few))
 
 
 def test_theorem1_main_term_positive():
