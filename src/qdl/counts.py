@@ -11,8 +11,9 @@ primitive over a modulus n, summed over a family of multipliers lam:
   g*lam*gamma = rhs - lam*b0 (mod n/g), a 4-row Smith-form solve, and the
   character is tested on their homogeneous subgroup.
 * ``coset_phase_counts``: that sum over a family of lam, accumulated as
-  exact integer counts per phase class r mod n.  S1, S2 (qdl.expsums), the
-  generic pair count and S_p(v; k) all call it.
+  exact integer counts per phase class r mod n.  S1 at p | M, S2
+  (qdl.expsums), the generic pair count and S_p(v; k) all call it; S1 at
+  p not dividing M has a closed form and keeps it as the test oracle.
 
 ``count_pairs`` counts the pairs (beta1, beta2) in (O_K/n)^2 with
 beta_i = beta_i' (mod gcd(n, M)) and ell(beta1*beta2) in a prescribed

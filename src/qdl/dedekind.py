@@ -250,10 +250,14 @@ def galois_count_sweep(Y: float) -> int:
 
     f_alpha is not S3 when it is degenerate (n3 = 0), reducible, or has a
     square discriminant (A3; disc = 0 implies a rational root).  Each such
-    coordinate vector in [-B, B]^4, B = ceil(Y), is listed as one int64 key
-    sum (n_i + B)(2B + 1)^i, and the distinct keys with |.|_sup < Y are
-    counted.  A cubic with rational root -a/b (lowest terms, b >= 1) factors
-    over Z as (b x + a)(m x^2 + w x + u) by Gauss: n3 = b m, n2 = a m + b w,
+    coordinate vector in [-B, B]^4, B = ceil(Y) - 1, is listed as one int64
+    key sum (n_i + B)(2B + 1)^i, and the distinct keys with |.|_sup < Y are
+    counted.  The box holds every counted alpha: |sigma_1|^2 + |sigma_3|^2 =
+    2 sum n_i^2, so |alpha|_sup >= max |n_i|, and no alpha with some
+    |n_i| >= ceil(Y) >= Y is counted.
+
+    A cubic with rational root -a/b (lowest terms, b >= 1) factors over Z as
+    (b x + a)(m x^2 + w x + u) by Gauss: n3 = b m, n2 = a m + b w,
     n1 = a w + b u, n0 = a u.  So per coprime (a, b) the (m, n2, u) grid with
     b | n2 - a m lists every reducible cubic in the box with that root.
     """
@@ -261,12 +265,12 @@ def galois_count_sweep(Y: float) -> int:
         raise ValueError(f"the sweep needs a finite Y > 0, got {Y}")
     if Y > GALOIS_SWEEP_YMAX:
         raise ValueError(f"sweep budget capped at Y <= {GALOIS_SWEEP_YMAX}")
-    B = int(math.ceil(Y))
+    B = int(math.ceil(Y)) - 1
     W = 2 * B + 1
     grid = np.arange(-B, B + 1)
     n0, n1, n2 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
 
-    def key(n0, n1, n2, n3):  # < W^4 <= 121^4 < 2.2e8 under GALOIS_SWEEP_YMAX
+    def key(n0, n1, n2, n3):  # < W^4 <= 119^4 < 2.1e8 under GALOIS_SWEEP_YMAX
         return (((n3 + B) * W + n2 + B) * W + n1 + B) * W + n0 + B
 
     keys = []

@@ -133,21 +133,30 @@ def poisson_check(X: float, gamma: int, g_table: dict[tuple, complex],
     """
     import numpy as np
 
-    from .cyclotomic import ell_matrices
-
     if gamma == 0:
         raise ValueError("gamma must be a nonzero rational integer")
     gamma = abs(gamma)
-    res = np.indices((gamma,) * 4).reshape(4, -1).T  # every r mod gamma, r0 slowest
-    g = np.array([g_table[tuple(r)] for r in res.tolist()], dtype=complex)
+    _, g, ghat = _dual(gamma, g_table)
 
-    def theta(scale: float) -> np.ndarray:  # prod_i s(r_i) for exp(-pi (c/scale)^2), over res
+    def theta(scale: float) -> np.ndarray:  # prod_i s(r_i) for exp(-pi (c/scale)^2), r0 slowest
         R = math.ceil(scale * math.sqrt(math.log(1 / tail) / math.pi)) + 1  # term at R < tail
         c = np.arange(-R, R + 1)
         s = np.bincount(c % gamma, np.exp(-math.pi * (c / scale) ** 2), minlength=gamma)
         return np.einsum("a,b,c,d->abcd", s, s, s, s).ravel()
 
-    # hat g(alpha) = N(gamma)^(-1/2) sum_beta g(beta) e(<alpha beta, 1>/gamma), N(gamma) = gamma^4
-    ghat = np.exp(2j * np.pi * (ell_matrices(res)[:, 0] @ res.T % gamma) / gamma) @ g / gamma ** 2
     # rhs = X^4 / sqrt(N) * sum_alpha hat g(alpha) hat w(alpha X / gamma)
     return complex(g @ theta(X)), complex(ghat @ theta(gamma / X) * X ** 4 / gamma ** 2)
+
+
+def _dual(gamma: int, g_table: dict[tuple, complex]):
+    """(res, g, hat g): every r mod gamma > 0 as rows (r0 slowest), g on them,
+    and hat g(alpha) = N(gamma)^(-1/2) sum_beta g(beta) e(<alpha beta, 1>/gamma)
+    on them, N(gamma) = gamma^4."""
+    import numpy as np
+
+    from .cyclotomic import ell_matrices
+
+    res = np.indices((gamma,) * 4).reshape(4, -1).T
+    g = np.array([g_table[tuple(r)] for r in res.tolist()], dtype=complex)
+    pairing = ell_matrices(res)[:, 0] @ res.T % gamma  # <alpha beta, 1> mod gamma
+    return res, g, np.exp(2j * np.pi * pairing / gamma) @ g / gamma ** 2

@@ -16,7 +16,7 @@ unity).  The fast evaluators detect the ell/det congruences with additive
 characters, execute the beta2 sum, and reduce each remaining term to an exact
 character sum over a beta1 coset computed by integer linear algebra mod q.
 Fast S1 first factors over the prime powers of q (CRT), and at primes not
-dividing M sums the unit multipliers in closed form.
+dividing M evaluates every multiplier's coset sum in closed form.
 
 The zero-frequency normalizations use the full-modulus convention
 
@@ -32,16 +32,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
-from .counts import ZERO, count_pairs, coset_phase_counts, phase_sum
-from .cyclotomic import CycInt, CycRes, Vec2Int, conj_star, ell, ell_matrices, ell_matrix, norm
+from . import InvariantError
+from .counts import _vp_table, count_pairs, coset_phase_counts, phase_sum
+from .cyclotomic import (CycInt, CycRes, Vec2Int, conj_star, ell, ell_matrices, ell_matrix,
+                         mult_matrix, norm)
 from .residues import IntPoly, divisors, factorize, is_prime, root_counts, vp
 
 # enumeration budgets; configuration constants, not hard limits of the method
 S1_BRUTE_QMAX = 9
 S1_FAST_QMAX = 10_000
+# the p-not-dividing-M tables of S1 hold residues mod q^2 and their int64
+# products are of two such residues, so the largest sum of them, four
+# products, stays under 4 q^4 <= 4e16 < 2^63 at every q <= S1_FAST_QMAX
 S2_BRUTE_DQMAX = 6
 S2_FAST_DQMAX = 200
 # _s1_prime_power_coprime walks its q x q grid of (x, y) in blocks of whole x
@@ -189,39 +195,160 @@ def _s1_cosets(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> complex:
     return phase_sum(counts.items(), q) * qp ** 2 / q ** 3
 
 
-def _s1_prime_power_coprime(a1: CycInt, a2: CycInt, p: int, e: int) -> complex:
-    """S1(a1, a2; p^e) for p not dividing M, vectorized over (x, y) mod p^e.
+class _S1Table(NamedTuple):
+    """The (a1, a2)-free part of S1 at p^e, p not dividing M, for the block of
+    multipliers lambda = x + y*zeta with x0 <= x < x1, 0 <= y < p^e.
 
-    lambda = x + y*zeta is a unit mod p^e exactly when p does not divide its
-    norm x^4 + y^4; then the beta1 solution is unique and the phase is
-    -<a1 a2 lambda*, 1> / (x^4 + y^4) mod p^e, a closed form in the
-    coordinates of a1*a2.  Only the non-units need the generic character-sum
-    solver.
+    Rows are sorted by the level s; row i is lambda with (x - x0, y) =
+    divmod(order[i], p^e).  The first ends[t] rows have s <= t, and the
+    first vends[t] entries of vrows are the rows among them with v > 0.
     """
+
+    order: np.ndarray  # (N,) the row's flat index in the block
+    lam: np.ndarray    # (N, 4) lambda'* mod q^2 (lambda' after the shift)
+    c: np.ndarray      # (N,) p^s * (-u^-1 mod m)
+    div: np.ndarray    # (N,) p^(2s+v)
+    kq: np.ndarray     # (N,) q * (index of the count p^(4s+v) in pk)
+    pk: np.ndarray     # (K,) the counts p^(4s+v) that occur
+    ends: tuple
+    vrows: np.ndarray  # rows with v > 0, ascending
+    vmod: np.ndarray   # p^(s+v) on vrows, the modulus of their gates
+    vends: tuple
+
+
+@lru_cache(maxsize=8)
+def _unit_inverses(p: int, e: int) -> np.ndarray:
+    """t^-1 mod p^e at every unit t in [0, p^e), and 0 at the non-units (u = 0
+    only at lambda = 0, where m = 1)."""
     q = p ** e
-    w = [c % q for c in (a1 * a2).coords()]
     inv = np.zeros(q, dtype=np.int64)
     units = np.flatnonzero(np.arange(q) % p)
     inv[units] = [pow(int(t), -1, q) for t in units]
-    ys = np.arange(q, dtype=np.int64)
-    y2 = ys * ys % q
-    counts = np.zeros(q, dtype=np.int64)
-    rows = max(1, _S1_BLOCK // q)
-    for x0 in range(0, q, rows):
-        xs = np.arange(x0, min(x0 + rows, q), dtype=np.int64)[:, None]
-        x2 = xs * xs % q
-        nval = (x2 * x2 % q + y2 * y2 % q) % q
-        unit = nval % p != 0
-        # T = x^3 w3 - x^2 y w2 + x y^2 w1 - y^3 w0 (coordinates of a1*a2)
-        T = (x2 * xs % q * w[3] - x2 * ys % q * w[2]
-             + xs * y2 % q * w[1] - y2 * ys % q * w[0]) % q
-        counts += np.bincount((-T[unit] * inv[nval[unit]]) % q, minlength=q)
-        # non-unit lambdas via the generic path, merged exactly per phase class
-        xn, yn = np.nonzero(~unit)
-        lams = (CycInt(x, y, 0, 0) for x, y in zip((xn + x0).tolist(), yn.tolist()))
-        for r, c in coset_phase_counts(q, 1, lams, -a2, ZERO, ZERO, a1).items():
-            counts[r] += c
-    return phase_sum(((k, c) for k, c in enumerate(counts.tolist()) if c), q) / q
+    return inv
+
+
+@lru_cache(maxsize=8)
+def _s1_coprime_table(p: int, e: int, x0: int, x1: int) -> _S1Table:
+    """s, v, lambda'*, -u^-1 and the count exponent 4s + v of every multiplier
+    in one block, as _s1_prime_power_coprime defines them."""
+    q = p ** e
+    ppow = np.array([p ** j for j in range(4 * e + 1)], dtype=np.int64)
+    x, y = np.divmod(np.arange(x0 * q, x1 * q, dtype=np.int64), q)
+    vt = _vp_table(p, e)  # vp capped at e, vp(0) = e
+    s = np.minimum(vt[x], vt[y])
+    m = ppow[e - s]
+    mm = m * m
+    xp, yp = x // ppow[s], y // ppow[s]
+
+    def norm_mod_mm():  # x'^4 + y'^4 mod m^2, from residues < m^2
+        return ((xp * xp % mm) ** 2 % mm + (yp * yp % mm) ** 2 % mm) % mm
+
+    nv = norm_mod_mm()
+    xp = xp + m * ((m > 1) & (nv % (m * p) == 0))  # the shift where v > e - s
+    nv = norm_mod_mm()
+    low = nv % m
+    if np.any((m > 1) & (low == 0) & (nv % (m * p) == 0)):
+        raise InvariantError(f"v != e - s after the shift mod {p}^{e}")
+    v = np.where(low == 0, e - s, vt[low])  # 0 < low < m: vp(low) < e - s
+    inv = _unit_inverses(p, e)[nv // ppow[v] % m]  # u^-1 mod q, so mod m
+    lam = np.stack([xp ** 3, -xp ** 2 * yp, xp * yp ** 2, -yp ** 3], axis=1) % (q * q)
+    order = np.concatenate([np.flatnonzero(s == t) for t in range(e + 1)])
+    c = (-inv % m * ppow[s])[order]
+    s, v = s[order], v[order]
+    k = 4 * s + v
+    seen = np.bincount(k) > 0
+    kidx = (np.cumsum(seen) - 1)[k]
+    vrows = np.flatnonzero(v)
+
+    def ends(levels):  # rows with level <= t, for t = 0..e
+        return tuple(np.cumsum(np.bincount(levels, minlength=e + 1)).tolist())
+
+    return _S1Table(order, lam[order], c, ppow[2 * s + v], kidx * q, ppow[np.flatnonzero(seen)],
+                    ends(s), vrows, ppow[s[vrows] + v[vrows]], ends(s[vrows]))
+
+
+def _s1_coprime_terms(tab: _S1Table, a1: CycInt, a2: CycInt, p: int, e: int) -> np.ndarray:
+    """Bins of the first n rows of tab, the rows with p^s | a1, a2 (the others
+    have coset sum 0).  Row i's coset sum is tab.pk[k] * e(r/q), q = p^e,
+    when its bin is q*k + r, and 0 when its bin is q*len(tab.pk)."""
+    q = p ** e
+    qq = q * q
+    sa = vp(gcd(q, *a1.coords(), *a2.coords()), p)  # the gate p^s | a1, a2 is s <= sa
+    n, nv = tab.ends[sa], tab.vends[sa]
+    w = (a1 * a2).coords()
+    T = tab.lam[:n] @ np.array([w[3] % qq, w[2] % qq, w[1] % qq, w[0] % qq]) % qq
+    if nv:  # the gates p^v | a_i' lambda'*, that is p^(s+v) | a_i lambda'*
+        vr = tab.vrows[:nv]
+        gates = [[t % q for t in row] for row in mult_matrix(a1) + mult_matrix(a2)]
+        shut = vr[(tab.lam[vr] @ np.array(gates).T % tab.vmod[:nv, None]).any(axis=1)]
+        T[shut] = 0
+    t, rest = np.divmod(T, tab.div[:n])
+    if np.count_nonzero(rest):
+        raise InvariantError(f"p^v does not divide <a1' a2' lambda'*, 1> mod {p}^{e}")
+    bins = tab.kq[:n] + tab.c[:n] * t % q
+    if nv:
+        bins[shut] = q * len(tab.pk)
+    return bins
+
+
+def _s1_prime_power_coprime(a1: CycInt, a2: CycInt, p: int, e: int) -> complex:
+    """S1(a1, a2; p^e) for p not dividing M: every multiplier in closed form.
+
+    The coset sum of lambda = x + y*zeta (mod q = p^e) is the sum of
+    e(<a1 beta, 1>/q) over {beta mod q : lambda beta = -a2 (q)}.  Let
+    s = min(vp(x), vp(y)), lambda' = lambda/p^s = x' + y' zeta, m = p^(e-s),
+    v = vp(x'^4 + y'^4), a_i' = a_i/p^s, u = (x'^4 + y'^4)/p^v and
+    lambda'* = (x'^3, -x'^2 y', x' y'^2, -y'^3) = conj_star(lambda').  Then
+    the sum is
+
+        p^(4s+v) [p^s | a1, a2] [p^v | a1' lambda'*, a2' lambda'*]
+            * e(p^s (-u^-1 <a1' a2' lambda'*, 1>/p^v mod m) / q).
+
+    Proof.
+    * beta mod q is beta mod m plus m*gamma with gamma mod p^s free.  The
+      gamma sum is p^(4s) [p^s | a1], as <., 1> is unimodular (GRAM), and
+      lambda beta = -a2 (q) needs p^s | a2 and leaves lambda' beta = -a2' (m).
+    * lambda' is primitive, so it lies in at most one prime above p: two of
+      the primes (p, zeta - r), r^4 = -1, would give p | y', then p | x'.
+      So (lambda') + (m) = P^min(v, e-s) for that prime P of degree one.
+    * If v > e - s, x' -> x' + m changes nothing mod m and makes
+      v = e - s, since (x' + m)^4 + y'^4 = x'^4 + y'^4 + 4 x'^3 m
+      (mod p m) at odd p.  At p = 2 a primitive non-unit has x', y' odd
+      and v = 1 <= e - s.
+    * Now v <= e - s and lambda' lambda'* = p^v u, u a unit mod p.  Then
+      lambda' maps O/m onto (P^v)/(m), of index p^v, and its kernel is
+      (m/p^v) lambda'* O: that lies in the kernel and also has p^v
+      elements.  A solution exists iff p^v | a2' lambda'*, and then
+      beta0 = -u^-1 a2' lambda'*/p^v is one.  The character is trivial on
+      the kernel iff p^v | a1' lambda'* (unimodularity again), and its
+      value at beta0 is the phase above.
+    * lambda = 0 is the level s = e: q^4 [a1 = a2 = 0 (q)].  A unit,
+      s = v = 0, has the phase -<a1 a2 lambda*, 1>/(x^4 + y^4) mod q.
+    * At odd p not 1 (mod 8), -1 is not a fourth power mod p, so
+      p | x'^4 + y'^4 only when p | x', y'.  Every primitive lambda' is a
+      unit there, and no v-gate runs.
+
+    The table of s, v, lambda'*, -u^-1 and 4s + v depends on (q, block)
+    only; a call adds the gates, one mat-vec over lambda'* and one bincount
+    per block of about _S1_BLOCK multipliers.  The integer counts per phase
+    class are those of coset_phase_counts, which stays the oracle.
+    """
+    q = p ** e
+    counts = _s1_coprime_counts(a1, a2, p, e).tolist()
+    return phase_sum(((k, c) for k, c in enumerate(counts) if c), q) / q
+
+
+def _s1_coprime_counts(a1: CycInt, a2: CycInt, p: int, e: int) -> np.ndarray:
+    """The integer count of each phase class r mod p^e in the sum of all
+    coset sums, block by block."""
+    q = p ** e
+    counts = 0
+    step = max(1, _S1_BLOCK // q)
+    for x0 in range(0, q, step):
+        tab = _s1_coprime_table(p, e, x0, min(x0 + step, q))
+        hist = np.bincount(_s1_coprime_terms(tab, a1, a2, p, e), minlength=(len(tab.pk) + 1) * q)
+        counts = counts + tab.pk @ hist[:-q].reshape(-1, q)
+    return counts
 
 
 def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue:
@@ -233,8 +360,11 @@ def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue
         S1(a1, a2; q) = prod over p^e || q of S1(u a1, u a2; p^e),
 
     each factor with the congruence datum at gcd(p^e, M).  A factor at p not
-    dividing M is evaluated in closed form on the unit multipliers; one at
-    p | M by the coset sums of _s1_cosets.
+    dividing M sums a closed form over every multiplier lambda = x + y*zeta:
+    with lambda = p^s lambda', lambda' primitive and v = vp(N(lambda')), its
+    coset sum is p^(4s+v) e(r/p^e) when p^s | a1, a2 and p^v | a_i/p^s times
+    lambda'*, and 0 otherwise (proof in _s1_prime_power_coprime).  A factor
+    at p | M takes the coset sums of _s1_cosets.
     """
     if q > S1_FAST_QMAX:
         raise BudgetExceeded(f"fast S1 capped at q <= {S1_FAST_QMAX}")

@@ -180,6 +180,25 @@ def test_poisson_lhs_closed_forms():
                                 rel=1e-11)
 
 
+def test_poisson_dual_pairs_with_one():
+    """hat g for g = 1{beta = 1 + 2 zeta} mod 3, a table the coordinate
+    reversal does not fix, is e(<alpha (1 + 2 zeta), 1>/3)/9 =
+    e((alpha_3 + 2 alpha_2)/3)/9.  Both sides of poisson_check are blind to a
+    unit twist of the pairing (hat w is invariant under it), so hat g itself
+    is pinned."""
+    from qdl.delta import _dual
+
+    table = {t: (1.0 if t == (1, 2, 0, 0) else 0.0) for t in itertools.product(range(3), repeat=4)}
+    res, _, ghat = _dual(3, table)
+    got = dict(zip(map(tuple, res.tolist()), ghat))
+    third = cmath.exp(2j * cmath.pi / 3)
+    assert got[(0, 0, 0, 1)] == pytest.approx(third / 9, abs=1e-15)
+    assert got[(0, 0, 1, 0)] == pytest.approx(third ** 2 / 9, abs=1e-15)
+    assert got[(0, 1, 0, 0)] == pytest.approx(1 / 9, abs=1e-15)
+    for a, v in got.items():
+        assert v == pytest.approx(third ** (a[3] + 2 * a[2]) / 9, abs=1e-15), a
+
+
 def test_poisson_rejects_zero_gamma():
     with pytest.raises(ValueError):
         poisson_check(1.0, 0, {})

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from qdl.cyclotomic import CycInt, CycRes, Vec2Int
+from qdl import expsums
+from qdl.counts import ZERO, beta_coset_char_sum, exact_phase_sum
+from qdl.cyclotomic import CycInt, CycRes, Vec2Int, norm
 from qdl.expsums import (BudgetExceeded, CongruenceData, S1_BRUTE_QMAX,
                          S2_BRUTE_DQMAX, _s1_cosets, a_alpha, n1_tilde, n2_tilde,
                          s1_brute, s1_fast, s2_bound_rhs, s2_brute, s2_fast)
+from qdl.residues import _fourth_root_count, is_prime
 
 TRIV = CongruenceData.trivial()
 CONG2 = CongruenceData(2, CycRes((1, 0, 0, 0), 2), CycRes((1, 0, 0, 0), 2))
@@ -113,6 +116,79 @@ def test_s1_prime_power_blocks_are_exact(monkeypatch):
     monkeypatch.setattr(expsums, "_S1_BLOCK", 1)
     rows = [s1_fast(a1, a2, q, TRIV).value for q, a1, a2 in inputs]
     assert rows == whole
+
+
+def test_s1_closed_form_matches_coset_oracle():
+    """Every non-unit multiplier lambda mod p^e, p not dividing M: the closed
+    form's (count, phase) == the Smith-form coset sum.  a1, a2 are drawn from
+    p*O or from ideals (lambda0) of non-unit lambda0, where the gates
+    p^s | a_i and p^v | a_i' lambda'* open; random a_i keep nearly all shut."""
+    rng = np.random.default_rng(41)
+    opened = 0
+    for p, e in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                 (7, 1), (7, 2), (17, 1), (41, 1)):
+        q = p ** e
+        tab = expsums._s1_coprime_table(p, e, 0, q)
+        lams = [CycInt(*divmod(int(i), q)) for i in tab.order]
+        nonunit = [i for i, lam in enumerate(lams) if (lam.c0 ** 4 + lam.c1 ** 4) % p == 0]
+        for draw in range(12):
+            gens = [CycInt(p)] * 2 if draw % 4 == 0 else [lams[rng.choice(nonunit)] for _ in range(2)]
+            a1, a2 = (g * rand_cyc(rng) for g in gens)
+            pk = tab.pk.tolist() + [0]  # the last bin holds the zero coset sums
+            bins = expsums._s1_coprime_terms(tab, a1, a2, p, e).tolist()
+            got = [(pk[k], r) for k, r in (divmod(b, q) for b in bins)]
+            for i in nonunit:
+                want = beta_coset_char_sum(q, 1, lams[i], -a2, ZERO, a1)
+                assert (got[i] if i < len(got) else (0, 0)) == want, (q, lams[i], a1, a2)
+                opened += want != (0, 0)
+    assert opened > 3000  # 3,967 of the 6,756 checked
+
+
+def test_s1_fast_matches_coset_sum_at_p_1_mod_8():
+    """At p = 1 (mod 8) primitive non-unit multipliers (v >= 1) exist.  s1_fast
+    against the unfactored coset sum at q = 17, 41, 51, 68 with random a_i and
+    with a_i in the prime (x + zeta), x^4 = -1 (mod p), where the v-gates
+    open; at M = 2, 3 the factor 2^2 or 3 takes the coset path."""
+    rng = np.random.default_rng(43)
+    one = (1, 0, 0, 0)
+    congs = [TRIV] + [CongruenceData(M, CycRes(one, M), CycRes(one, M)) for M in (2, 3)]
+    for q, x in ((17, 2), (41, 3), (51, 2), (68, 2)):
+        prime = CycInt(x, 1)
+        for cong in congs:
+            for g in (CycInt(1), prime):
+                a1, a2 = g * rand_cyc(rng), g * rand_cyc(rng)
+                want = _s1_cosets(a1, a2, q, cong)
+                got = s1_fast(a1, a2, q, cong).value
+                assert abs(got - want) <= 1e-8, (q, cong.M, a1, a2, got, want)
+
+
+def test_prop61_identity_at_good_primes():
+    """S1(a1, a2; p) = a_alpha(p) + (nu(p) - 1)/p at p not dividing N(alpha),
+    alpha = a1 a2, nu(p) = #{x mod p : x^4 = -1}: exactly on the integer phase
+    counts, whose phase sum is p S1, and to 1e-12 on s1_fast's value.  Every
+    alpha mod p at a1 = 1 for p = 3, 5, 7; 60 seeded pairs per prime
+    11 <= p <= 97 (17, 41, 73, 89 and 97 are 1 mod 8)."""
+    rng = np.random.default_rng(61)
+    cases = [(p, CycInt(1), CycInt(*c)) for p in (3, 5, 7)
+             for c in itertools.product(range(p), repeat=4)]
+    for p in filter(is_prime, range(11, 98)):
+        drawn = 0
+        while drawn < 60:
+            a1, a2 = rand_cyc(rng, -10, 11), rand_cyc(rng, -10, 11)
+            if norm(a1 * a2) % p:
+                cases.append((p, a1, a2))
+                drawn += 1
+    checked = 0
+    for p, a1, a2 in cases:
+        alpha = a1 * a2
+        if norm(alpha) % p == 0:
+            continue
+        want = p * a_alpha(alpha, p) + _fourth_root_count(p, 1) - 1
+        counts = dict(enumerate(expsums._s1_coprime_counts(a1, a2, p, 1).tolist()))
+        assert exact_phase_sum(counts, p, 1) == want, (p, a1, a2)
+        assert abs(s1_fast(a1, a2, p, TRIV).value - want / p) <= 1e-12, (p, a1, a2)
+        checked += 1
+    assert checked == 64 + 576 + 2304 + 21 * 60
 
 
 def test_a_alpha_examples():
