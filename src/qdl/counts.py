@@ -142,20 +142,8 @@ def _kernel_sizes_vectorized(p: int, e: int, xs: np.ndarray, ys: np.ndarray) -> 
     x2 = (xp % mod) ** 2 % mod
     y2 = (yp % mod) ** 2 % mod
     w4 = (x2 * x2 % mod + y2 * y2 % mod) % mod
-    # t' = vp(w4) capped at rem
-    t = np.zeros(len(xs), dtype=np.int64)
-    active = mod > 1
-    val = w4.copy()
-    for _ in range(e):
-        hit = active & (t < rem) & (val % p == 0) & (val != 0)
-        if not hit.any():
-            break
-        t[hit] += 1
-        val[hit] //= p
-    zero = active & (w4 == 0)
-    t[zero] = rem[zero]
-    exps += np.minimum(t, rem)
-    return exps
+    # vp(w4) capped at rem: 0 < w4 < p^rem has vp(w4) < rem
+    return exps + np.where(w4 == 0, rem, vt[w4])
 
 
 def _dual_subgroup(n: int, rows: list[list[int]]):

@@ -16,7 +16,8 @@ unity).  The fast evaluators detect the ell/det congruences with additive
 characters, execute the beta2 sum, and reduce each remaining term to an exact
 character sum over a beta1 coset computed by integer linear algebra mod q.
 Fast S1 first factors over the prime powers of q (CRT), and at primes not
-dividing M evaluates every multiplier's coset sum in closed form.
+dividing M sums every multiplier's coset sum in closed form, one Ramanujan sum
+per unit-scalar orbit of multipliers.
 
 The zero-frequency normalizations use the full-modulus convention
 
@@ -45,14 +46,13 @@ from .residues import IntPoly, divisors, factorize, is_prime, root_counts, vp
 # enumeration budgets; configuration constants, not hard limits of the method
 S1_BRUTE_QMAX = 9
 S1_FAST_QMAX = 10_000
-# the p-not-dividing-M tables of S1 hold residues mod q^2 and their int64
-# products are of two such residues, so the largest sum of them, four
-# products, stays under 4 q^4 <= 4e16 < 2^63 at every q <= S1_FAST_QMAX
+# the p-not-dividing-M rows of S1 hold residues mod q^2, and their int64
+# mat-vec sums four products of two such residues, under 4 q^4 <= 4e16; a
+# row's term p^(4s+v) c_m(X) is at most p^(4s) m^2, level s < e has at most
+# 2m rows, so the terms add up to at most 2 q^4/(p-1) and the sum with the
+# lambda = 0 term q^4 stays under 3 q^4 <= 3e16 < 2^63 at every q <= S1_FAST_QMAX
 S2_BRUTE_DQMAX = 6
 S2_FAST_DQMAX = 200
-# _s1_prime_power_coprime walks its q x q grid of (x, y) in blocks of whole x
-# rows, about this many entries each, so its int64 temporaries stay O(block)
-_S1_BLOCK = 2 ** 16
 
 
 class BudgetExceeded(ValueError):
@@ -140,6 +140,8 @@ def _admissible_pairs_s1(q: int, g: int, b1c, b2c) -> tuple:
 
 def s1_brute(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue:
     """S1 by direct enumeration of residue pairs (the oracle)."""
+    if q < 1:
+        raise ValueError(f"S1 needs q >= 1, got q = {q}")
     if q > S1_BRUTE_QMAX:
         raise BudgetExceeded(f"brute-force S1 capped at q <= {S1_BRUTE_QMAX}")
     g = gcd(q, cong.M)
@@ -195,107 +197,77 @@ def _s1_cosets(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> complex:
     return phase_sum(counts.items(), q) * qp ** 2 / q ** 3
 
 
-class _S1Table(NamedTuple):
-    """The (a1, a2)-free part of S1 at p^e, p not dividing M, for the block of
-    multipliers lambda = x + y*zeta with x0 <= x < x1, 0 <= y < p^e.
+class _S1Orbits(NamedTuple):
+    """One multiplier per unit-scalar orbit of the nonzero lambda mod p^e, the
+    rows of _s1_prime_power_coprime.  Level s < e holds the points of
+    P^1(Z/m), m = p^(e-s): lambda' = 1 + y zeta for y mod m, then
+    lambda' = p x + zeta for x mod m/p, so m + m/p rows; lambda = p^s lambda'.
+    The first ends[t] rows have s <= t."""
 
-    Rows are sorted by the level s; row i is lambda with (x - x0, y) =
-    divmod(order[i], p^e).  The first ends[t] rows have s <= t, and the
-    first vends[t] entries of vrows are the rows among them with v > 0.
-    """
-
-    order: np.ndarray  # (N,) the row's flat index in the block
-    lam: np.ndarray    # (N, 4) lambda'* mod q^2 (lambda' after the shift)
-    c: np.ndarray      # (N,) p^s * (-u^-1 mod m)
+    rep: np.ndarray    # (N, 2) (x', y'), lambda' after the shift
+    star: np.ndarray   # (N, 4) lambda'* mod q^2
     div: np.ndarray    # (N,) p^(2s+v)
-    kq: np.ndarray     # (N,) q * (index of the count p^(4s+v) in pk)
-    pk: np.ndarray     # (K,) the counts p^(4s+v) that occur
+    mod: np.ndarray    # (N,) p^(e+s+v): m | X iff it divides T
+    k: np.ndarray      # (N,) p^(4s+v) m/p
+    vmod: np.ndarray | None  # (N,) p^(s+v), the modulus of the v-gates; None when every v = 0
     ends: tuple
-    vrows: np.ndarray  # rows with v > 0, ascending
-    vmod: np.ndarray   # p^(s+v) on vrows, the modulus of their gates
-    vends: tuple
 
 
-@lru_cache(maxsize=8)
-def _unit_inverses(p: int, e: int) -> np.ndarray:
-    """t^-1 mod p^e at every unit t in [0, p^e), and 0 at the non-units (u = 0
-    only at lambda = 0, where m = 1)."""
+@lru_cache(maxsize=16)
+def _s1_orbit_table(p: int, e: int) -> _S1Orbits:
+    """The (a1, a2)-free part of S1 at p^e, p not dividing M: s, v and
+    lambda'* of each orbit's representative, as _s1_prime_power_coprime
+    defines them."""
     q = p ** e
-    inv = np.zeros(q, dtype=np.int64)
-    units = np.flatnonzero(np.arange(q) % p)
-    inv[units] = [pow(int(t), -1, q) for t in units]
-    return inv
-
-
-@lru_cache(maxsize=8)
-def _s1_coprime_table(p: int, e: int, x0: int, x1: int) -> _S1Table:
-    """s, v, lambda'*, -u^-1 and the count exponent 4s + v of every multiplier
-    in one block, as _s1_prime_power_coprime defines them."""
-    q = p ** e
-    ppow = np.array([p ** j for j in range(4 * e + 1)], dtype=np.int64)
-    x, y = np.divmod(np.arange(x0 * q, x1 * q, dtype=np.int64), q)
-    vt = _vp_table(p, e)  # vp capped at e, vp(0) = e
-    s = np.minimum(vt[x], vt[y])
-    m = ppow[e - s]
-    mm = m * m
-    xp, yp = x // ppow[s], y // ppow[s]
-
-    def norm_mod_mm():  # x'^4 + y'^4 mod m^2, from residues < m^2
-        return ((xp * xp % mm) ** 2 % mm + (yp * yp % mm) ** 2 % mm) % mm
-
-    nv = norm_mod_mm()
-    xp = xp + m * ((m > 1) & (nv % (m * p) == 0))  # the shift where v > e - s
-    nv = norm_mod_mm()
-    low = nv % m
-    if np.any((m > 1) & (low == 0) & (nv % (m * p) == 0)):
+    sizes = [p ** k + p ** (k - 1) for k in range(e, 0, -1)]  # level s has k = e - s
+    offsets = np.cumsum([0] + sizes[:-1])
+    s = np.repeat(np.arange(e, dtype=np.int64), sizes)
+    m = p ** (e - s)
+    j = np.arange(len(s), dtype=np.int64) - offsets[s]  # the row's index in its level
+    xp = np.where(j < m, 1, p * (j - m))
+    yp = np.where(j < m, j, 1)
+    nrm = xp ** 4 + yp ** 4  # below 2^63, as x', y' <= q + 1
+    xp = xp + m * (nrm % (m * p) == 0)  # the shift where v > e - s
+    nrm = xp ** 4 + yp ** 4
+    low = nrm % m
+    if np.any((low == 0) & (nrm % (m * p) == 0)):
         raise InvariantError(f"v != e - s after the shift mod {p}^{e}")
-    v = np.where(low == 0, e - s, vt[low])  # 0 < low < m: vp(low) < e - s
-    inv = _unit_inverses(p, e)[nv // ppow[v] % m]  # u^-1 mod q, so mod m
-    lam = np.stack([xp ** 3, -xp ** 2 * yp, xp * yp ** 2, -yp ** 3], axis=1) % (q * q)
-    order = np.concatenate([np.flatnonzero(s == t) for t in range(e + 1)])
-    c = (-inv % m * ppow[s])[order]
-    s, v = s[order], v[order]
-    k = 4 * s + v
-    seen = np.bincount(k) > 0
-    kidx = (np.cumsum(seen) - 1)[k]
-    vrows = np.flatnonzero(v)
-
-    def ends(levels):  # rows with level <= t, for t = 0..e
-        return tuple(np.cumsum(np.bincount(levels, minlength=e + 1)).tolist())
-
-    return _S1Table(order, lam[order], c, ppow[2 * s + v], kidx * q, ppow[np.flatnonzero(seen)],
-                    ends(s), vrows, ppow[s[vrows] + v[vrows]], ends(s[vrows]))
+    v = np.where(low == 0, e - s, _vp_table(p, e)[low])  # 0 < low < m: vp(low) < e - s
+    star = np.stack([xp ** 3, -xp ** 2 * yp, xp * yp ** 2, -yp ** 3], axis=1) % (q * q)
+    ppow = np.array([p ** t for t in range(4 * e)], dtype=np.int64)
+    return _S1Orbits(np.stack([xp, yp], axis=1), star, ppow[2 * s + v], ppow[e + s + v],
+                     ppow[4 * s + v] * m // p, ppow[s + v] if v.any() else None,
+                     tuple(np.cumsum(sizes + [0]).tolist()))  # lambda = 0 is no row
 
 
-def _s1_coprime_terms(tab: _S1Table, a1: CycInt, a2: CycInt, p: int, e: int) -> np.ndarray:
-    """Bins of the first n rows of tab, the rows with p^s | a1, a2 (the others
-    have coset sum 0).  Row i's coset sum is tab.pk[k] * e(r/q), q = p^e,
-    when its bin is q*k + r, and 0 when its bin is q*len(tab.pk)."""
+def _s1_orbit_terms(a1: CycInt, a2: CycInt, p: int, e: int) -> np.ndarray:
+    """Each orbit's sum of coset sums, p^(4s+v) c_m(X), on the rows with
+    p^s | a1, a2 (the first rows; the others sum to 0)."""
+    tab = _s1_orbit_table(p, e)
     q = p ** e
     qq = q * q
     sa = vp(gcd(q, *a1.coords(), *a2.coords()), p)  # the gate p^s | a1, a2 is s <= sa
-    n, nv = tab.ends[sa], tab.vends[sa]
+    n = tab.ends[sa]
     w = (a1 * a2).coords()
-    T = tab.lam[:n] @ np.array([w[3] % qq, w[2] % qq, w[1] % qq, w[0] % qq]) % qq
-    if nv:  # the gates p^v | a_i' lambda'*, that is p^(s+v) | a_i lambda'*
-        vr = tab.vrows[:nv]
+    T = tab.star[:n] @ np.array([w[3] % qq, w[2] % qq, w[1] % qq, w[0] % qq]) % qq
+    k = tab.k[:n]
+    if tab.vmod is not None:  # the gates p^v | a_i' lambda'*, that is p^(s+v) | a_i lambda'*
         gates = [[t % q for t in row] for row in mult_matrix(a1) + mult_matrix(a2)]
-        shut = vr[(tab.lam[vr] @ np.array(gates).T % tab.vmod[:nv, None]).any(axis=1)]
+        shut = (tab.star[:n] @ np.array(gates).T % tab.vmod[:n, None]).any(axis=1)
         T[shut] = 0
-    t, rest = np.divmod(T, tab.div[:n])
-    if np.count_nonzero(rest):
+        k = np.where(shut, 0, k)
+    if (T % tab.div[:n]).any():
         raise InvariantError(f"p^v does not divide <a1' a2' lambda'*, 1> mod {p}^{e}")
-    bins = tab.kq[:n] + tab.c[:n] * t % q
-    if nv:
-        bins[shut] = q * len(tab.pk)
-    return bins
+    mod = tab.mod[:n]
+    return k * (p * (T % mod == 0) - (T % (mod // p) == 0))
 
 
-def _s1_prime_power_coprime(a1: CycInt, a2: CycInt, p: int, e: int) -> complex:
-    """S1(a1, a2; p^e) for p not dividing M: every multiplier in closed form.
+def _s1_prime_power_coprime(a1: CycInt, a2: CycInt, p: int, e: int) -> int:
+    """p^e S1(a1, a2; p^e) for p not dividing M, an exact integer.
 
     The coset sum of lambda = x + y*zeta (mod q = p^e) is the sum of
-    e(<a1 beta, 1>/q) over {beta mod q : lambda beta = -a2 (q)}.  Let
+    e(<a1 beta, 1>/q) over {beta mod q : lambda beta = -a2 (q)}, and
+    q S1 is the sum of the coset sums over every lambda.  Let
     s = min(vp(x), vp(y)), lambda' = lambda/p^s = x' + y' zeta, m = p^(e-s),
     v = vp(x'^4 + y'^4), a_i' = a_i/p^s, u = (x'^4 + y'^4)/p^v and
     lambda'* = (x'^3, -x'^2 y', x' y'^2, -y'^3) = conj_star(lambda').  Then
@@ -328,27 +300,32 @@ def _s1_prime_power_coprime(a1: CycInt, a2: CycInt, p: int, e: int) -> complex:
       p | x'^4 + y'^4 only when p | x', y'.  Every primitive lambda' is a
       unit there, and no v-gate runs.
 
-    The table of s, v, lambda'*, -u^-1 and 4s + v depends on (q, block)
-    only; a call adds the gates, one mat-vec over lambda'* and one bincount
-    per block of about _S1_BLOCK multipliers.  The integer counts per phase
-    class are those of coset_phase_counts, which stays the oracle.
+    Orbits.  For a unit t, substituting gamma = t beta gives the coset sum
+    of t lambda at (a1, a2) as that of lambda at (t^-1 a1, a2).  In the
+    closed form, s, v, the count and both gates are unchanged by
+    lambda -> t lambda, and (t lambda')* = t^3 lambda'*, u -> t^4 u, so the
+    phase numerator r = -u^-1 X, X = <a1' a2' lambda'*, 1>/p^v, moves to
+    t^-1 r mod m.  The units mod m act freely on the primitive lambda' mod m,
+    and the points (1, y), y mod m, and (p x, 1), x mod m/p, of P^1(Z/m)
+    meet every orbit once.  So each orbit of level s has phi(m) members, and
+    its total is p^(4s+v) times the Ramanujan sum
+
+        c_m(r) = sum over t in (Z/m)* of e(t r/m) = c_m(X)
+               = m [m | X] - (m/p) [m/p | X],
+
+    as c_m is unchanged by a unit scaling of r.  With T = <a1 a2 lambda'*, 1>
+    mod q^2 = p^(2s+v) X, m | X iff p^(e+s+v) | T (s + v <= e keeps it
+    inside q^2).  So
+
+        q S1 = q^4 [a1 = a2 = 0 (q)] + sum over open rows of p^(4s+v) c_m(X),
+
+    with one row per orbit, about q (1 + 2/p) rows in all; the table of
+    rows depends on (p, e) only.  coset_phase_counts over an orbit's
+    members stays the oracle of each row's term.
     """
     q = p ** e
-    counts = _s1_coprime_counts(a1, a2, p, e).tolist()
-    return phase_sum(((k, c) for k, c in enumerate(counts) if c), q) / q
-
-
-def _s1_coprime_counts(a1: CycInt, a2: CycInt, p: int, e: int) -> np.ndarray:
-    """The integer count of each phase class r mod p^e in the sum of all
-    coset sums, block by block."""
-    q = p ** e
-    counts = 0
-    step = max(1, _S1_BLOCK // q)
-    for x0 in range(0, q, step):
-        tab = _s1_coprime_table(p, e, x0, min(x0 + step, q))
-        hist = np.bincount(_s1_coprime_terms(tab, a1, a2, p, e), minlength=(len(tab.pk) + 1) * q)
-        counts = counts + tab.pk @ hist[:-q].reshape(-1, q)
-    return counts
+    zero = a1.scalar_divisible(q) and a2.scalar_divisible(q)
+    return q ** 4 * zero + int(_s1_orbit_terms(a1, a2, p, e).sum())
 
 
 def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue:
@@ -363,9 +340,13 @@ def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue
     dividing M sums a closed form over every multiplier lambda = x + y*zeta:
     with lambda = p^s lambda', lambda' primitive and v = vp(N(lambda')), its
     coset sum is p^(4s+v) e(r/p^e) when p^s | a1, a2 and p^v | a_i/p^s times
-    lambda'*, and 0 otherwise (proof in _s1_prime_power_coprime).  A factor
+    lambda'*, and 0 otherwise.  The unit multiples t lambda move r to t^-1 r,
+    so each orbit sums to p^(4s+v) times a Ramanujan sum, and p^e times the
+    factor is an exact integer (proof in _s1_prime_power_coprime).  A factor
     at p | M takes the coset sums of _s1_cosets.
     """
+    if q < 1:
+        raise ValueError(f"S1 needs q >= 1, got q = {q}")
     if q > S1_FAST_QMAX:
         raise BudgetExceeded(f"fast S1 capped at q <= {S1_FAST_QMAX}")
     val = complex(1)
@@ -373,7 +354,7 @@ def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue
         pe = p ** e
         u = pow(q // pe, -1, pe)
         if cong.M % p:
-            val *= _s1_prime_power_coprime(u * a1, u * a2, p, e)
+            val *= _s1_prime_power_coprime(u * a1, u * a2, p, e) / pe
         else:
             val *= _s1_cosets(u * a1, u * a2, pe, cong)
     return ExpSumValue(val)

@@ -57,7 +57,8 @@ def test_usage_errors(tmp_path, capsys):
         assert r.returncode == 1 and r.stdout == "" and "finite and positive" in r.stderr, \
             (cmd, r.stderr)
     # bad inputs the library refuses, run in-process: exit 1 with error: and no stdout
-    for argv in (["s2", "--q", "2", "--d", "0"], ["s2", "--q", "0"],
+    for argv in (["s1", "--q", "0"], ["s1", "--q", "-3"],
+                 ["s2", "--q", "2", "--d", "0"], ["s2", "--q", "0"],
                  ["s2", "--q", "2", "--d", "-1"],
                  ["thm1-report", "--N-grid", "100"],
                  ["thm1-report", "--N-grid", "100", "100", "100"],

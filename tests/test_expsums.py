@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from qdl import expsums
-from qdl.counts import ZERO, beta_coset_char_sum, exact_phase_sum
+from qdl.counts import ZERO, coset_phase_counts, exact_phase_sum
 from qdl.cyclotomic import CycInt, CycRes, Vec2Int, norm
 from qdl.expsums import (BudgetExceeded, CongruenceData, S1_BRUTE_QMAX,
                          S2_BRUTE_DQMAX, _s1_cosets, a_alpha, n1_tilde, n2_tilde,
                          s1_brute, s1_fast, s2_bound_rhs, s2_brute, s2_fast)
-from qdl.residues import _fourth_root_count, is_prime
+from qdl.residues import _fourth_root_count, factorize, is_prime
 
 TRIV = CongruenceData.trivial()
 CONG2 = CongruenceData(2, CycRes((1, 0, 0, 0), 2), CycRes((1, 0, 0, 0), 2))
@@ -35,6 +35,13 @@ def test_congruence_data_validation():
 def test_s1_trivial_modulus():
     for f in (s1_brute, s1_fast):
         assert abs(f(CycInt(0), CycInt(0), 1, TRIV).value - 1) < 1e-12
+
+
+def test_s1_rejects_q_below_1():
+    for f in (s1_brute, s1_fast):
+        for q in (0, -3):
+            with pytest.raises(ValueError, match="S1 needs q >= 1"):
+                f(CycInt(1), CycInt(1), q, TRIV)
 
 
 def test_s1_budgets():
@@ -104,44 +111,62 @@ def test_s1_fast_matches_unfactored_coset_sum():
             assert abs(got - want) <= 1e-8, (q, cong.M, a1, a2, got, want)
 
 
-def test_s1_prime_power_blocks_are_exact(monkeypatch):
-    """The unit/non-unit grid walked one x row at a time gives exactly the
-    one-block value: its counts are integers, merged per phase class."""
-    from qdl import expsums
-
-    rng = np.random.default_rng(29)
-    inputs = [(q, rand_cyc(rng), rand_cyc(rng)) for q in (25, 49, 97) for _ in range(2)]
-    assert all(expsums._S1_BLOCK // q >= q for q, _, _ in inputs)  # one block by default
-    whole = [s1_fast(a1, a2, q, TRIV).value for q, a1, a2 in inputs]
-    monkeypatch.setattr(expsums, "_S1_BLOCK", 1)
-    rows = [s1_fast(a1, a2, q, TRIV).value for q, a1, a2 in inputs]
-    assert rows == whole
-
-
 def test_s1_closed_form_matches_coset_oracle():
-    """Every non-unit multiplier lambda mod p^e, p not dividing M: the closed
-    form's (count, phase) == the Smith-form coset sum.  a1, a2 are drawn from
-    p*O or from ideals (lambda0) of non-unit lambda0, where the gates
-    p^s | a_i and p^v | a_i' lambda'* open; random a_i keep nearly all shut."""
+    """The orbit table at p^e, p not dividing M.  The rows of level s are a
+    complete set of representatives of P^1(Z/m), m = p^(e-s): every lambda
+    mod q at level s is p^s t lambda' for exactly one row lambda' and unit t
+    mod m.  Every orbit with s > 0 or v > 0 sums, through the Smith-form
+    coset sums of its phi(m) members, to the row's integer term.  a1, a2 are
+    drawn from p*O or from ideals (lambda0) of non-unit lambda0, where the
+    gates p^s | a_i and p^v | a_i' lambda'* open; random a_i keep nearly all
+    shut."""
     rng = np.random.default_rng(41)
-    opened = 0
+    opened = checked = 0
     for p, e in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
                  (7, 1), (7, 2), (17, 1), (41, 1)):
         q = p ** e
-        tab = expsums._s1_coprime_table(p, e, 0, q)
-        lams = [CycInt(*divmod(int(i), q)) for i in tab.order]
-        nonunit = [i for i, lam in enumerate(lams) if (lam.c0 ** 4 + lam.c1 ** 4) % p == 0]
+        tab = expsums._s1_orbit_table(p, e)
+        orbits, covered, oracle = [], set(), []
+        for i, (x, y) in enumerate(tab.rep.tolist()):
+            s = sum(i >= end for end in tab.ends)  # the row's level
+            m = p ** (e - s)
+            assert x % p or y % p, (q, s, x, y)  # lambda' is primitive
+            orbit = {(p ** s * t * x % q, p ** s * t * y % q) for t in range(m) if t % p}
+            assert len(orbit) == m - m // p and not orbit & covered, (q, s, x, y)
+            covered |= orbit
+            orbits.append(orbit)
+            if s or (x ** 4 + y ** 4) % p == 0:
+                oracle.append(i)
+        assert covered == set(itertools.product(range(q), repeat=2)) - {(0, 0)}
+        nonunit = [CycInt(x, y) for x, y in itertools.product(range(q), repeat=2)
+                   if (x ** 4 + y ** 4) % p == 0]
         for draw in range(12):
-            gens = [CycInt(p)] * 2 if draw % 4 == 0 else [lams[rng.choice(nonunit)] for _ in range(2)]
+            gens = ([CycInt(p)] * 2 if draw % 4 == 0
+                    else [nonunit[rng.choice(len(nonunit))] for _ in range(2)])
             a1, a2 = (g * rand_cyc(rng) for g in gens)
-            pk = tab.pk.tolist() + [0]  # the last bin holds the zero coset sums
-            bins = expsums._s1_coprime_terms(tab, a1, a2, p, e).tolist()
-            got = [(pk[k], r) for k, r in (divmod(b, q) for b in bins)]
-            for i in nonunit:
-                want = beta_coset_char_sum(q, 1, lams[i], -a2, ZERO, a1)
-                assert (got[i] if i < len(got) else (0, 0)) == want, (q, lams[i], a1, a2)
-                opened += want != (0, 0)
-    assert opened > 3000  # 3,967 of the 6,756 checked
+            terms = expsums._s1_orbit_terms(a1, a2, p, e).tolist()
+            for i in oracle:
+                lams = (CycInt(x, y) for x, y in orbits[i])
+                want = exact_phase_sum(coset_phase_counts(q, 1, lams, -a2, ZERO, ZERO, a1), p, e)
+                assert (terms[i] if i < len(terms) else 0) == want, (q, i, a1, a2)
+                opened += want != 0
+                checked += 1
+    assert opened > 400, (opened, checked)  # 475 of the 1,080 orbits checked
+
+
+@pytest.mark.parametrize("q", [8, 16, 27, 25, 49, pytest.param(289, marks=pytest.mark.slow)])
+def test_s1_fast_matches_coset_sum_at_level_s(q):
+    """a_i in p^s O, s = 1..e, open the gate p^s | a1, a2 of the level-s rows,
+    which random a_i keep shut: s1_fast against the unfactored coset sum (at
+    q = 289 each oracle call makes q^2 Smith-form solves)."""
+    rng = np.random.default_rng([47, q])
+    (p, e), = factorize(q).items()
+    for s in range(1, e + 1):
+        for _ in range(3 if q < 100 else 1):
+            a1, a2 = p ** s * rand_cyc(rng), p ** s * rand_cyc(rng)
+            want = _s1_cosets(a1, a2, q, TRIV)
+            got = s1_fast(a1, a2, q, TRIV).value
+            assert abs(got - want) <= 1e-8 * max(1, abs(want)), (q, s, a1, a2, got, want)
 
 
 def test_s1_fast_matches_coset_sum_at_p_1_mod_8():
@@ -164,10 +189,10 @@ def test_s1_fast_matches_coset_sum_at_p_1_mod_8():
 
 def test_prop61_identity_at_good_primes():
     """S1(a1, a2; p) = a_alpha(p) + (nu(p) - 1)/p at p not dividing N(alpha),
-    alpha = a1 a2, nu(p) = #{x mod p : x^4 = -1}: exactly on the integer phase
-    counts, whose phase sum is p S1, and to 1e-12 on s1_fast's value.  Every
-    alpha mod p at a1 = 1 for p = 3, 5, 7; 60 seeded pairs per prime
-    11 <= p <= 97 (17, 41, 73, 89 and 97 are 1 mod 8)."""
+    alpha = a1 a2, nu(p) = #{x mod p : x^4 = -1}: exactly on the integer
+    numerator p S1 of the p-not-dividing-M factor, and to 1e-12 on s1_fast's
+    value.  Every alpha mod p at a1 = 1 for p = 3, 5, 7; 60 seeded pairs per
+    prime 11 <= p <= 97 (17, 41, 73, 89 and 97 are 1 mod 8)."""
     rng = np.random.default_rng(61)
     cases = [(p, CycInt(1), CycInt(*c)) for p in (3, 5, 7)
              for c in itertools.product(range(p), repeat=4)]
@@ -184,8 +209,7 @@ def test_prop61_identity_at_good_primes():
         if norm(alpha) % p == 0:
             continue
         want = p * a_alpha(alpha, p) + _fourth_root_count(p, 1) - 1
-        counts = dict(enumerate(expsums._s1_coprime_counts(a1, a2, p, 1).tolist()))
-        assert exact_phase_sum(counts, p, 1) == want, (p, a1, a2)
+        assert expsums._s1_prime_power_coprime(a1, a2, p, 1) == want, (p, a1, a2)
         assert abs(s1_fast(a1, a2, p, TRIV).value - want / p) <= 1e-12, (p, a1, a2)
         checked += 1
     assert checked == 64 + 576 + 2304 + 21 * 60
