@@ -11,25 +11,26 @@ primitive over a modulus n, summed over a family of multipliers lam:
   g*lam*gamma = rhs - lam*b0 (mod n/g), a 4-row Smith-form solve, and the
   character is tested on their homogeneous subgroup.
 * ``coset_phase_counts``: that sum over a family of lam, accumulated as
-  exact integer counts per phase class r mod n.  S1 at p | M, S2
-  (qdl.expsums), the generic pair count and S_p(v; k) all call it; S1 at
-  p not dividing M has a closed form and keeps it as the test oracle.
+  exact integer counts per phase class r mod n, for S1 at p | M and S2
+  (qdl.expsums).
+* ``orbit_rows``: one lam per unit-scalar orbit of the nonzero lam mod p^e.
+  A homogeneous coset family closed under unit scalars sums to one
+  ``beta_coset_char_sum`` per orbit times a Ramanujan sum (``_orbit_sum``):
+  the pair counts and S_p(v; k) run on it, and S1 at p not dividing M
+  (qdl.expsums) builds its closed form on the same rows.
 
 ``count_pairs`` counts the pairs (beta1, beta2) in (O_K/n)^2 with
 beta_i = beta_i' (mod gcd(n, M)) and ell(beta1*beta2) in a prescribed
 subgroup L of (Z/n)^2.  The two ell-coordinates are detected by additive
-characters, which collapses the pair count to a sum of multiplication-kernel
-sizes over the dual subgroup of L.  At primes coprime to M the kernel sizes
-have the closed form p^(4s) * gcd(x'^4 + y'^4, p^(e-s)) (unique degree-one
-prime above p on x + y*zeta), which is evaluated vectorized; at the finitely
-many primes dividing M the phase counts are reduced exactly modulo the
-cyclotomic polynomial (``exact_phase_sum``).
+characters, which collapses the pair count to a sum of coset sums over the
+dual subgroup of L, a union of orbits.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,8 @@ def exact_phase_sum(counts: dict[int, int], p: int, e: int) -> int:
     integers: x^((p-1) p^(e-1) + s) = -sum_{j<p-1} x^(j p^(e-1) + s).  The
     remainder has degree < phi(p^e), and 1, x, ..., x^(phi(p^e)-1) are
     linearly independent, so the sum is an integer exactly when the remainder
-    is a constant.  Raises InvariantError otherwise.
+    is a constant.  Raises InvariantError otherwise.  No caller in the
+    package: the tests' oracle of the orbit sums.
     """
     step = p ** (e - 1)
     top = (p - 1) * step
@@ -109,50 +111,66 @@ def coset_phase_counts(n: int, g: int, lams, rhs: CycInt, b1: CycInt, b2: CycInt
     return counts
 
 
-@lru_cache(maxsize=None)
-def _vp_table(p: int, e: int) -> np.ndarray:
-    """vp(x) capped at e, for x in [0, p^e)."""
-    pe = p ** e
-    v = np.zeros(pe, dtype=np.int64)
-    x = np.arange(pe, dtype=np.int64)
-    step = p
-    for _ in range(e):
-        v[(x % step) == 0] += 1
-        step *= p
-    v[0] = e
-    return v
+class OrbitRows(NamedTuple):
+    """One multiplier per unit-scalar orbit of the nonzero lam = x + y zeta
+    mod p^e.  Level s < e holds the points of P^1(Z/m), m = p^(e-s):
+    (x', y') = (1, y') for y' mod m, then (p x', 1) for x' mod m/p, with
+    lam = p^s (x' + y' zeta).  The units mod m act freely on the primitive
+    (x', y') mod m and these points meet every orbit once, so the orbit of a
+    level-s row has phi(m) members.  The first ends[t] rows have s <= t."""
+
+    rep: np.ndarray  # (N, 2) (x', y')
+    lam: np.ndarray  # (N, 2) (x, y) = p^s (x', y') mod p^e
+    s: np.ndarray    # (N,)
+    m: np.ndarray    # (N,) p^(e-s)
+    ends: tuple
 
 
-def _kernel_sizes_vectorized(p: int, e: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """p-exponents of #ker of multiplication by x + y*zeta on O_K/p^e.
+@lru_cache(maxsize=16)
+def orbit_rows(p: int, e: int) -> OrbitRows:
+    """The orbit rows mod p^e, about p^e (1 + 2/p) of them."""
+    sizes = [p ** k + p ** (k - 1) for k in range(e, 0, -1)]  # level s has k = e - s
+    if sum(sizes) > 3 * 10 ** 7:
+        raise ValueError(f"{sum(sizes)} orbit rows mod {p}^{e} exceed the enumeration budget")
+    offsets = np.cumsum([0] + sizes[:-1])
+    s = np.repeat(np.arange(e, dtype=np.int64), sizes)
+    m = p ** (e - s)
+    j = np.arange(len(s), dtype=np.int64) - offsets[s]  # the row's index in its level
+    rep = np.stack([np.where(j < m, 1, p * (j - m)), np.where(j < m, j, 1)], axis=1)
+    return OrbitRows(rep, rep * (p ** e // m)[:, None] % p ** e, s, m,
+                     tuple(np.cumsum(sizes + [0]).tolist()))  # lam = 0 is no row
 
-    Uses N((x' + y'*zeta, p^j)) = (x'^4 + y'^4, p^j) for primitive (x', y').
-    Requires p^e < 2^31 so modular squares stay inside int64.
+
+def _orbit_sum(p: int, e: int, g: int, b1: CycInt, b2: CycInt, idx: np.ndarray) -> int:
+    """Sum over every lam in the orbits of the rows idx of orbit_rows(p, e) of
+
+        sum over {beta = b1 (g), lam*beta = 0 (p^e/g)} of e(<lam*b2*beta, 1>/p^e),
+
+    an exact integer.
+
+    Proof.  For a unit t, t*lam cuts out the same coset as lam, and its
+    character is the t-th power of lam's.  If lam's sum is c*e(r/p^e), every
+    beta of the coset has the phase r, so t*lam's sum is c*e(t*r/p^e); if it
+    is 0, the character is nontrivial on the coset's homogeneous subgroup, a
+    p-group, and so is its t-th power.  A unit t = 1 (mod m) fixes
+    lam = p^s lam', so t*r = r (mod p^e) for all of them and p^s | r, with
+    r' = r/p^s.  The orbit's phi(m) members t*lam, t in (Z/m)*, then sum to
+    c times the Ramanujan sum
+
+        c_m(r') = sum over t in (Z/m)* of e(t*r'/m)
+                = m [m | r'] - (m/p) [m/p | r'].
     """
     pe = p ** e
-    vt = _vp_table(p, e)
-    s = np.minimum(vt[xs % pe], vt[ys % pe])
-    exps = 4 * s.astype(np.int64)
-    rem = e - s
-    ppow = np.array([p ** int(t) for t in range(e + 1)], dtype=np.int64)
-    xp = xs // ppow[s]
-    yp = ys // ppow[s]
-    mod = ppow[rem]
-    # fourth powers taken modularly so int64 never overflows (needs p^e < 2^31)
-    x2 = (xp % mod) ** 2 % mod
-    y2 = (yp % mod) ** 2 % mod
-    w4 = (x2 * x2 % mod + y2 * y2 % mod) % mod
-    # vp(w4) capped at rem: 0 < w4 < p^rem has vp(w4) < rem
-    return exps + np.where(w4 == 0, rem, vt[w4])
-
-
-def _dual_subgroup(n: int, rows: list[list[int]]):
-    """Solutions w of t.w = 0 (mod n) for every generator row t of L."""
-    A = rows or [[0, 0]]
-    sol = solve_mod(A, [0] * len(A), n)
-    if sol is None:
-        raise InvariantError("a homogeneous system mod n has no solution")
-    return sol
+    tab = orbit_rows(p, e)
+    total = 0
+    for (x, y), s, m in zip(tab.lam[idx].tolist(), tab.s[idx].tolist(), tab.m[idx].tolist()):
+        lam = CycInt(x, y, 0, 0)
+        cnt, r = beta_coset_char_sum(pe, g, lam, ZERO, b1, lam * b2)
+        if r % p ** s:
+            raise InvariantError(f"p^{s} does not divide the phase {r} of an orbit mod {p}^{e}")
+        r //= p ** s
+        total += cnt * (m * (r % m == 0) - m // p * (r % (m // p) == 0))
+    return total
 
 
 def count_pairs(n: int, M: int, beta1p: CycInt, beta2p: CycInt,
@@ -163,6 +181,8 @@ def count_pairs(n: int, M: int, beta1p: CycInt, beta2p: CycInt,
     local_rows(p, e) must return generator rows of the local subgroup
     L_p <= (Z/p^e)^2 (the rows p^e * I are implicit).
     """
+    if n < 1:
+        raise ValueError(f"count_pairs needs n >= 1, got n = {n}")
     total = 1
     for p, e in factorize(n).items():
         g = gcd(p ** e, M)
@@ -176,36 +196,26 @@ def count_pairs(n: int, M: int, beta1p: CycInt, beta2p: CycInt,
 def _count_pairs_local_cached(p: int, e: int, g: int, b1c, b2c, rows) -> int:
     """The local pair count, with the beta' coordinates already reduced mod g.
 
-    Generic path: T(lam) = sum over beta1, beta2 = beta' (g) of
-    psi(lam*beta1*beta2); summing beta2 leaves (p^e/g)^4 times the character
-    sum over {beta1 = b1 (g), lam*beta1 = 0 (p^e/g)} with phase
-    <lam*b2*beta1, 1>, and the count is |L|/p^(2e) * sum of T over the dual.
+    T(lam) = sum over beta1, beta2 = beta' (g) of psi(lam*beta1*beta2); summing
+    beta2 leaves (p^e/g)^4 times the character sum over {beta1 = b1 (g),
+    lam*beta1 = 0 (p^e/g)} with phase <lam*b2*beta1, 1>, and the count is
+    |L|/p^(2e) * sum of T over the dual D = {lam : t.lam = 0 (p^e) for every
+    row t of L}.  D is a Z-module, so a union of orbits, and lam = 0 adds
+    (p^e/g)^4 to the character sums.  At g = 1 with D everything the sum is
+    _kernel_size_total.
     """
     pe = p ** e
-    dual = _dual_subgroup(pe, [list(r) for r in rows])
-    size_L = (pe * pe) // dual.count
-    if g == 1:
-        return _count_local_coprime(p, e, dual, size_L)
-    lams = (CycInt(x, y, 0, 0) for x, y in dual.elements().tolist())
-    counts = coset_phase_counts(pe, g, lams, ZERO, CycInt(*b1c), CycInt(*b2c))
-    total = exact_phase_sum(counts, p, e) * (pe // g) ** 4 * size_L
+    t = np.array(rows, dtype=np.int64).reshape(-1, 2) % pe  # so that lam . t stays in int64
+    if g == 1 and not t.any():
+        return pe * pe * _kernel_size_total(p, e)
+    tab = orbit_rows(p, e)
+    member = np.flatnonzero(~(tab.lam @ t.T % pe).any(axis=1))
+    dual = 1 + int((tab.m[member] - tab.m[member] // p).sum())
+    csum = (pe // g) ** 4 + _orbit_sum(p, e, g, CycInt(*b1c), CycInt(*b2c), member)
+    total = csum * (pe // g) ** 4 * (pe * pe // dual)
     if total % (pe * pe):
         raise InvariantError(f"pair count {total}/{pe * pe} mod {p}^{e} is not an integer")
     return total // (pe * pe)
-
-
-def _count_local_coprime(p: int, e: int, dual, size_L: int) -> int:
-    pe = p ** e
-    if dual.count == pe * pe:
-        ksum = _kernel_size_total(p, e)
-    else:
-        if dual.count > 3 * 10 ** 7:
-            raise ValueError("dual subgroup too large for enumeration budget")
-        xs, ys = dual.elements().T
-        exps = _kernel_sizes_vectorized(p, e, xs, ys)
-        hist = np.bincount(exps, minlength=4 * e + 1)
-        ksum = sum(int(c) * p ** j for j, c in enumerate(hist))
-    return size_L * pe * pe * ksum
 
 
 def _kernel_size_total(p: int, e: int) -> int:
@@ -240,8 +250,8 @@ def sp_vk(v: tuple[int, int], p: int, k: int, M: int,
 
     After executing the w-sum and the beta2-sum, S_p(v;k) equals a prefactor
     times the sum over primitive a (mod p^k) with a.v = 0 (p^k) of character
-    sums over beta1-cosets.  That sum is rational (the defining sum is) and a
-    sum of roots of unity, so an integer, which exact_phase_sum returns.
+    sums over beta1-cosets, an integer summed orbit by orbit (_orbit_sum) over
+    the level-0 rows of orbit_rows(p, k).
     """
     m = vp(M, p)
     if k == 0:
@@ -253,8 +263,6 @@ def sp_vk(v: tuple[int, int], p: int, k: int, M: int,
     b2 = CycInt(*(c % geta for c in beta2p.coords()))
     # prefactor p^(k + 4(k - eta0) - 9k - 8*max(0, m - k))
     pref_exp = k + 4 * (k - eta0) - 9 * k - 8 * max(0, m - k)
-    sol = solve_mod([[v[0] % pk, v[1] % pk]], [0], pk)
-    lams = (CycInt(a1, a2, 0, 0) for a1, a2 in sol.elements().tolist()
-            if a1 % p or a2 % p)
-    counts = coset_phase_counts(pk, geta, lams, ZERO, b1, b2)
-    return exact_phase_sum(counts, p, k) * float(p) ** pref_exp
+    tab = orbit_rows(p, k)
+    idx = np.flatnonzero(tab.lam[:tab.ends[0]] @ np.array([v[0] % pk, v[1] % pk]) % pk == 0)
+    return _orbit_sum(p, k, geta, b1, b2, idx) * float(p) ** pref_exp

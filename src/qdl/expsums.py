@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import InvariantError
-from .counts import _vp_table, count_pairs, coset_phase_counts, phase_sum
+from .counts import count_pairs, coset_phase_counts, orbit_rows, phase_sum
 from .cyclotomic import (CycInt, CycRes, Vec2Int, conj_star, ell, ell_matrices, ell_matrix,
                          mult_matrix, norm)
 from .residues import IntPoly, divisors, factorize, is_prime, root_counts, vp
@@ -198,14 +198,10 @@ def _s1_cosets(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> complex:
 
 
 class _S1Orbits(NamedTuple):
-    """One multiplier per unit-scalar orbit of the nonzero lambda mod p^e, the
-    rows of _s1_prime_power_coprime.  Level s < e holds the points of
-    P^1(Z/m), m = p^(e-s): lambda' = 1 + y zeta for y mod m, then
-    lambda' = p x + zeta for x mod m/p, so m + m/p rows; lambda = p^s lambda'.
-    The first ends[t] rows have s <= t."""
+    """The (a1, a2)-free part of S1 at p^e, p not dividing M, one entry per
+    row of counts.orbit_rows(p, e), as _s1_prime_power_coprime defines it."""
 
-    rep: np.ndarray    # (N, 2) (x', y'), lambda' after the shift
-    star: np.ndarray   # (N, 4) lambda'* mod q^2
+    star: np.ndarray   # (N, 4) lambda'* mod q^2, lambda' after the shift
     div: np.ndarray    # (N,) p^(2s+v)
     mod: np.ndarray    # (N,) p^(e+s+v): m | X iff it divides T
     k: np.ndarray      # (N,) p^(4s+v) m/p
@@ -215,29 +211,21 @@ class _S1Orbits(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _s1_orbit_table(p: int, e: int) -> _S1Orbits:
-    """The (a1, a2)-free part of S1 at p^e, p not dividing M: s, v and
-    lambda'* of each orbit's representative, as _s1_prime_power_coprime
-    defines them."""
+    """s, v and lambda'* of each orbit row at p^e."""
     q = p ** e
-    sizes = [p ** k + p ** (k - 1) for k in range(e, 0, -1)]  # level s has k = e - s
-    offsets = np.cumsum([0] + sizes[:-1])
-    s = np.repeat(np.arange(e, dtype=np.int64), sizes)
-    m = p ** (e - s)
-    j = np.arange(len(s), dtype=np.int64) - offsets[s]  # the row's index in its level
-    xp = np.where(j < m, 1, p * (j - m))
-    yp = np.where(j < m, j, 1)
+    rows = orbit_rows(p, e)
+    s, m = rows.s, rows.m
+    xp, yp = rows.rep.T
     nrm = xp ** 4 + yp ** 4  # below 2^63, as x', y' <= q + 1
     xp = xp + m * (nrm % (m * p) == 0)  # the shift where v > e - s
     nrm = xp ** 4 + yp ** 4
-    low = nrm % m
-    if np.any((low == 0) & (nrm % (m * p) == 0)):
-        raise InvariantError(f"v != e - s after the shift mod {p}^{e}")
-    v = np.where(low == 0, e - s, _vp_table(p, e)[low])  # 0 < low < m: vp(low) < e - s
+    v = sum(nrm % p ** t == 0 for t in range(1, e + 2))  # vp(nrm) capped at e + 1
+    if np.any(v > e - s):
+        raise InvariantError(f"v > e - s after the shift mod {p}^{e}")
     star = np.stack([xp ** 3, -xp ** 2 * yp, xp * yp ** 2, -yp ** 3], axis=1) % (q * q)
     ppow = np.array([p ** t for t in range(4 * e)], dtype=np.int64)
-    return _S1Orbits(np.stack([xp, yp], axis=1), star, ppow[2 * s + v], ppow[e + s + v],
-                     ppow[4 * s + v] * m // p, ppow[s + v] if v.any() else None,
-                     tuple(np.cumsum(sizes + [0]).tolist()))  # lambda = 0 is no row
+    return _S1Orbits(star, ppow[2 * s + v], ppow[e + s + v], ppow[4 * s + v] * m // p,
+                     ppow[s + v] if v.any() else None, rows.ends)
 
 
 def _s1_orbit_terms(a1: CycInt, a2: CycInt, p: int, e: int) -> np.ndarray:
@@ -305,23 +293,16 @@ def _s1_prime_power_coprime(a1: CycInt, a2: CycInt, p: int, e: int) -> int:
     closed form, s, v, the count and both gates are unchanged by
     lambda -> t lambda, and (t lambda')* = t^3 lambda'*, u -> t^4 u, so the
     phase numerator r = -u^-1 X, X = <a1' a2' lambda'*, 1>/p^v, moves to
-    t^-1 r mod m.  The units mod m act freely on the primitive lambda' mod m,
-    and the points (1, y), y mod m, and (p x, 1), x mod m/p, of P^1(Z/m)
-    meet every orbit once.  So each orbit of level s has phi(m) members, and
-    its total is p^(4s+v) times the Ramanujan sum
-
-        c_m(r) = sum over t in (Z/m)* of e(t r/m) = c_m(X)
-               = m [m | X] - (m/p) [m/p | X],
-
-    as c_m is unchanged by a unit scaling of r.  With T = <a1 a2 lambda'*, 1>
-    mod q^2 = p^(2s+v) X, m | X iff p^(e+s+v) | T (s + v <= e keeps it
-    inside q^2).  So
+    t^-1 r mod m.  So the phi(m) members of an orbit of level s (one row of
+    counts.orbit_rows) total p^(4s+v) times the Ramanujan sum
+    c_m(r) = c_m(X) = m [m | X] - (m/p) [m/p | X], as c_m is unchanged by a
+    unit scaling of r.  With T = <a1 a2 lambda'*, 1> mod q^2 = p^(2s+v) X,
+    m | X iff p^(e+s+v) | T (s + v <= e keeps it inside q^2).  So
 
         q S1 = q^4 [a1 = a2 = 0 (q)] + sum over open rows of p^(4s+v) c_m(X),
 
-    with one row per orbit, about q (1 + 2/p) rows in all; the table of
-    rows depends on (p, e) only.  coset_phase_counts over an orbit's
-    members stays the oracle of each row's term.
+    and the table of rows depends on (p, e) only.  coset_phase_counts over
+    an orbit's members stays the oracle of each row's term.
     """
     q = p ** e
     zero = a1.scalar_divisible(q) and a2.scalar_divisible(q)
@@ -398,6 +379,8 @@ def n1_tilde(q: int, cong: CongruenceData, ell_modulus: str = "full") -> float:
     """
     if ell_modulus not in ("full", "reduced"):
         raise ValueError("ell_modulus must be 'full' or 'reduced'")
+    if q < 1:
+        raise ValueError(f"N1~ needs q >= 1, got q = {q}")
 
     def rows(p, e):
         if ell_modulus == "full":
@@ -414,6 +397,8 @@ def n2_tilde(c: Vec2Int, d: int, q: int, cong: CongruenceData) -> float:
     """N2~(c, d; q) = (d^3 q^4)^-1 S2(0,0; d,q), computed as an exact count."""
     if gcd(c[0], c[1]) != 1:
         raise ValueError("c must be primitive")
+    if d < 1 or q < 1:
+        raise ValueError(f"N2~ needs d, q >= 1, got d = {d}, q = {q}")
     n = d * q
     mq = cong.M
 

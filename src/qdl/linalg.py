@@ -141,8 +141,9 @@ class SolutionSet:
 
     def elements(self) -> np.ndarray:
         """Every solution, as a (count, k) int64 array mod n; the multiple of
-        the first generator varies slowest.  Use only for small counts (and
-        n < 3e9, so that x + c*g stays inside int64)."""
+        the first generator varies slowest.  No caller in the package: the
+        tests' oracle of solve_mod.  Use only for small counts (and n < 3e9,
+        so that x + c*g stays inside int64)."""
         x = np.array([self.x0], dtype=np.int64)
         for g, order in zip(self.gens, self.gen_orders):
             if order > 1:

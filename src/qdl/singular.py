@@ -116,8 +116,9 @@ def sigma_p(p: int, cong: CongruenceData, target_tail: float = 1e-6,
     At the other p | M: the truncation N1~(p^k) in the full-modulus
     convention, with |N1~(p^(k+1)) - N1~(p^k)| <= C p^(4 m_p - 2k - 2) (C the
     frozen C.PROP63_DIFF_C), so the tail after level k is that over 1 - p^-2.
-    Its count costs like p^(2k); with cap_to_budget the truncation stops at the
-    budget and the (larger) achieved tail is certified instead of raising.
+    Its count makes about p^k orbit solves; with cap_to_budget the truncation
+    stops at the budget and the (larger) achieved tail is certified instead of
+    raising.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -133,7 +134,7 @@ def sigma_p(p: int, cong: CongruenceData, target_tail: float = 1e-6,
     def tail(k: int) -> float:
         return C.PROP63_DIFF_C * p ** (4 * m - 2 * k - 2) / (1 - p ** -2)
 
-    # budget: the generic path enumerates p^(2k) character sums
+    # budget: p^(2k) <= 2^16; the printed sigma_p at non-unit classes depends on it
     kmax = max(1, int(math.log(65536, p) / 2))
     k = m
     while tail(k) > target_tail and k < kmax:

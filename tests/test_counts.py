@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -48,11 +49,21 @@ def test_sp_vk_matches_brute_m1(v, p, k):
     assert abs(want - got) < 1e-9
 
 
-@pytest.mark.parametrize("v,p,k", [((1, 0), 2, 1), ((1, 1), 2, 2), ((3, 1), 2, 2)])
-def test_sp_vk_matches_brute_m2(v, p, k):
-    b = CycInt(1, 0, 0, 0)
-    want = sp_vk_brute(v, p, k, 2, b, b)
-    got = sp_vk(v, p, k, 2, b, b)
+@pytest.mark.parametrize("v,p,k,M,b", [
+    pytest.param((1, 0), 2, 1, 2, (1, 0), id="v0-2-1"),
+    pytest.param((1, 1), 2, 2, 2, (1, 0), id="v1-2-2"),
+    pytest.param((3, 1), 2, 2, 2, (1, 0), id="v2-2-2"),
+    pytest.param((1, 1), 2, 2, 2, (1, 1), id="v1-2-2-1+zeta"),
+    pytest.param((3, 1), 2, 2, 2, (1, 1), id="v2-2-2-1+zeta"),
+    pytest.param((2, 1), 2, 2, 4, (1, 1), id="M4-1+zeta"),
+    pytest.param((1, 2), 3, 1, 3, (1, 1), id="M3-1+zeta")])
+def test_sp_vk_matches_brute_m2(v, p, k, M, b):
+    """beta1' = beta2' = b at M = 2, 3, 4; b = 1 + zeta is a non-unit at 2,
+    and at M = 3, 4 ell(b^2) = (0, 1) is not 0 mod M, where the orbits'
+    phases do not all vanish."""
+    b = CycInt(*b)
+    want = sp_vk_brute(v, p, k, M, b, b)
+    got = sp_vk(v, p, k, M, b, b)
     assert abs(want - got) < 1e-9
 
 
@@ -71,19 +82,22 @@ def test_sp_vk_tail_bound_shape():
 
 
 def test_count_pairs_exhaustive():
-    """count_pairs against literal pair enumeration for composite moduli and
-    both the full and a twisted target subgroup."""
-    for (n, M, b1, b2) in ((6, 1, (0,) * 4, (0,) * 4),
-                           (4, 2, (1, 0, 0, 0), (1, 0, 0, 0)),
-                           (12, 2, (1, 0, 0, 0), (1, 0, 0, 0))):
-        import math
-
+    """count_pairs against literal pair enumeration for composite moduli, with
+    the full target subgroup L = 0 and the twisted L = Z(1, 3), at unit and
+    non-unit beta'.  A non-unit class is compatible (ell(b1' b2') = 0 mod
+    gcd(n, M), a nonzero count) or not (count 0, which a wrong orbit weight
+    misses)."""
+    units = ((6, 1, (0,) * 4, (0,) * 4), (4, 2, (1, 0, 0, 0), (1, 0, 0, 0)),
+             (12, 2, (1, 0, 0, 0), (1, 0, 0, 0)))
+    compatible = ((12, 2, (0, 0, 0, 0), (1, 1, 0, 0)), (8, 2, (1, 1, 1, 1), (1, 0, 0, 1)),
+                  (12, 3, (1, 1, 2, 0), (2, 1, 1, 0)), (8, 4, (0, 2, 1, 1), (3, 3, 3, 1)),
+                  (12, 4, (2, 0, 0, 0), (1, 1, 2, 0)), (12, 6, (0, 3, 3, 0), (4, 4, 0, 4)),
+                  (12, 8, (2, 3, 1, 2), (1, 3, 1, 2)))
+    incompatible = ((8, 2, (1, 0, 1, 0), (1, 0, 0, 1)), (9, 3, (1, 2, 2, 0), (2, 0, 0, 1)),
+                    (8, 4, (2, 0, 0, 2), (0, 1, 3, 3)), (12, 6, (0, 0, 1, 5), (3, 3, 0, 0)),
+                    (12, 8, (1, 1, 1, 3), (2, 1, 3, 1)))
+    for (n, M, b1, b2) in units + compatible + incompatible:
         B1, B2 = CycInt(*b1), CycInt(*b2)
-
-        def rows_zero(p, e):
-            return []
-
-        got = count_pairs(n, M, B1, B2, rows_zero)
         g = math.gcd(n, M)
 
         def coset(b):
@@ -97,8 +111,22 @@ def test_count_pairs_exhaustive():
               - np.outer(x[3], y[3]))
         c3 = (np.outer(x[0], y[3]) + np.outer(x[1], y[2]) + np.outer(x[2], y[1])
               + np.outer(x[3], y[0]))
-        count = int(np.count_nonzero((c3 % n == 0) & (c2 % n == 0)))
-        assert got == count, (n, M, got, count)
+        # ell = (c3, c2) in L: 0 for the full target, w (1, 3) for the twisted one
+        for rows, inside in (([], (c3 % n == 0) & (c2 % n == 0)), ([[1, 3]], (c2 - 3 * c3) % n == 0)):
+            count = int(np.count_nonzero(inside))
+            got = count_pairs(n, M, B1, B2, lambda p, e: rows)
+            assert got == count, (n, M, b1, b2, rows, got, count)
+            if not rows:  # ell(beta1 beta2) = ell(b1' b2') (mod g)
+                assert (count > 0) == ((n, M, b1, b2) not in incompatible), (n, M, b1, b2)
+
+
+def test_count_pairs_rejects_n_below_1_and_over_budget():
+    for n in (0, -6):
+        with pytest.raises(ValueError, match="count_pairs needs n >= 1"):
+            count_pairs(n, 1, CycInt(0), CycInt(0), lambda p, e: [])
+    # 2^25 needs about 10^8 orbit rows: an error before any allocation
+    with pytest.raises(ValueError, match="exceed the enumeration budget"):
+        count_pairs(2 ** 25, 2, CycInt(1), CycInt(1), lambda p, e: [])
 
 
 def test_count_pairs_sublattice_target():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qdl import expsums
-from qdl.counts import ZERO, coset_phase_counts, exact_phase_sum
+from qdl.counts import ZERO, coset_phase_counts, exact_phase_sum, orbit_rows
 from qdl.cyclotomic import CycInt, CycRes, Vec2Int, norm
 from qdl.expsums import (BudgetExceeded, CongruenceData, S1_BRUTE_QMAX,
                          S2_BRUTE_DQMAX, _s1_cosets, a_alpha, n1_tilde, n2_tilde,
@@ -42,6 +42,15 @@ def test_s1_rejects_q_below_1():
         for q in (0, -3):
             with pytest.raises(ValueError, match="S1 needs q >= 1"):
                 f(CycInt(1), CycInt(1), q, TRIV)
+
+
+def test_zero_frequencies_reject_moduli_below_1():
+    for q in (0, -4):
+        with pytest.raises(ValueError, match="N1~ needs q >= 1"):
+            n1_tilde(q, TRIV)
+    for d, q in ((0, 3), (2, -1)):
+        with pytest.raises(ValueError, match="N2~ needs d, q >= 1"):
+            n2_tilde(Vec2Int(1, 1), d, q, CONG2)
 
 
 def test_s1_budgets():
@@ -125,11 +134,12 @@ def test_s1_closed_form_matches_coset_oracle():
     for p, e in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
                  (7, 1), (7, 2), (17, 1), (41, 1)):
         q = p ** e
-        tab = expsums._s1_orbit_table(p, e)
+        rows = orbit_rows(p, e)
         orbits, covered, oracle = [], set(), []
-        for i, (x, y) in enumerate(tab.rep.tolist()):
-            s = sum(i >= end for end in tab.ends)  # the row's level
+        for i, (x, y) in enumerate(rows.rep.tolist()):
+            s = sum(i >= end for end in rows.ends)  # the row's level
             m = p ** (e - s)
+            assert (rows.s[i], rows.m[i], *rows.lam[i]) == (s, m, p ** s * x % q, p ** s * y % q)
             assert x % p or y % p, (q, s, x, y)  # lambda' is primitive
             orbit = {(p ** s * t * x % q, p ** s * t * y % q) for t in range(m) if t % p}
             assert len(orbit) == m - m // p and not orbit & covered, (q, s, x, y)
