@@ -1,7 +1,13 @@
 """Shared counting engine for residue-pair sums over O_K = Z[zeta_8].
 
-Everything the exponential sums and local densities need reduces to one
-primitive over a modulus n, summed over a family of multipliers lam:
+Everything the exponential sums and local densities need is one sum,
+``pair_sum``: over the pairs (beta1, beta2) in (O_K/n)^2 with
+beta_i = beta_i' (mod gcd(n, M)) and ell(beta1*beta2) in a subgroup L of
+(Z/n)^2, of e(<a1 beta1 + a2 beta2, 1>/n).  S1, S2, N1~, N2~ (qdl.expsums)
+and the count behind sigma_p(c, d) (qdl.singular) are each one call.  It is
+a product over p^e || n (CRT).  The ell-condition is detected by the
+characters lam in the dual D of L mod p^e, and summing beta2 leaves one
+beta1-coset sum per lam:
 
 * ``beta_coset_char_sum``: the exact value of
       sum over beta in O_K/n with beta = b0 (g) and lam*beta = rhs (n/g)
@@ -11,19 +17,13 @@ primitive over a modulus n, summed over a family of multipliers lam:
   g*lam*gamma = rhs - lam*b0 (mod n/g), a 4-row Smith-form solve, and the
   character is tested on their homogeneous subgroup.
 * ``coset_phase_counts``: that sum over a family of lam, accumulated as
-  exact integer counts per phase class r mod n, for S1 at p | M and S2
-  (qdl.expsums).
+  exact integer counts per phase class r mod n; the local sum at p | M with
+  a != 0 runs it over D.
 * ``orbit_rows``: one lam per unit-scalar orbit of the nonzero lam mod p^e.
-  A homogeneous coset family closed under unit scalars sums to one
-  ``beta_coset_char_sum`` per orbit times a Ramanujan sum (``_orbit_sum``):
-  the pair counts and S_p(v; k) run on it, and S1 at p not dividing M
-  (qdl.expsums) builds its closed form on the same rows.
-
-``count_pairs`` counts the pairs (beta1, beta2) in (O_K/n)^2 with
-beta_i = beta_i' (mod gcd(n, M)) and ell(beta1*beta2) in a prescribed
-subgroup L of (Z/n)^2.  The two ell-coordinates are detected by additive
-characters, which collapses the pair count to a sum of coset sums over the
-dual subgroup of L, a union of orbits.
+  D is a Z-module, so a union of orbits.  A homogeneous coset family (a = 0)
+  sums to one ``beta_coset_char_sum`` per orbit times a Ramanujan sum
+  (``_orbit_sum``), as does S_p(v; k), and at p not dividing M every
+  orbit's coset sums have a closed form (``_s1_orbit_terms``).
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from .linalg import char_sum_over_solutions, solve_mod
 from .residues import factorize, vp
 
 ZERO = CycInt(0)
+# the largest p^e at which the local sum at p not dividing M, a != 0, is taken
+# in closed form (its int64 bound is at _s1_orbit_table); fast S1 caps q with it
+S1_FAST_QMAX = 10_000
 
 
 def phase_sum(terms, n: int):
@@ -173,49 +176,215 @@ def _orbit_sum(p: int, e: int, g: int, b1: CycInt, b2: CycInt, idx: np.ndarray) 
     return total
 
 
-def count_pairs(n: int, M: int, beta1p: CycInt, beta2p: CycInt,
-                local_rows) -> int:
-    """#{(beta1, beta2) mod n : beta_i = beta_i' (gcd(n, M)),
-    ell(beta1*beta2) in L (mod n)} with L given per prime power.
+class _S1Orbits(NamedTuple):
+    """The a-free part of the closed form at p^e, one entry per row of
+    orbit_rows(p, e), as _s1_orbit_terms defines it."""
 
-    local_rows(p, e) must return generator rows of the local subgroup
-    L_p <= (Z/p^e)^2 (the rows p^e * I are implicit).
+    star: np.ndarray   # (N, 4) lambda'* mod q^2, lambda' after the shift
+    div: np.ndarray    # (N,) p^(2s+v)
+    mod: np.ndarray    # (N,) p^(e+s+v): m | X iff it divides T
+    k: np.ndarray      # (N,) p^(4s+v) m/p
+    vmod: np.ndarray | None  # (N,) p^(s+v), the modulus of the v-gates; None when every v = 0
+    ends: tuple
+
+
+@lru_cache(maxsize=16)
+def _s1_orbit_table(p: int, e: int) -> _S1Orbits:
+    """s, v and lambda'* of each orbit row at p^e.
+
+    The rows hold residues mod q^2, and the int64 mat-vec for T sums four
+    products of two such residues, under 4 q^4 <= 4e16; a row's term
+    p^(4s+v) c_m(X) is at most p^(4s) m^2, level s < e has at most 2m rows,
+    so the terms add up to at most 2 q^4/(p-1) < 2^63 at every
+    q <= S1_FAST_QMAX."""
+    q = p ** e
+    rows = orbit_rows(p, e)
+    s, m = rows.s, rows.m
+    xp, yp = rows.rep.T
+    nrm = xp ** 4 + yp ** 4  # below 2^63, as x', y' <= q + 1
+    xp = xp + m * (nrm % (m * p) == 0)  # the shift where v > e - s
+    nrm = xp ** 4 + yp ** 4
+    v = sum(nrm % p ** t == 0 for t in range(1, e + 2))  # vp(nrm) capped at e + 1
+    if np.any(v > e - s):
+        raise InvariantError(f"v > e - s after the shift mod {p}^{e}")
+    star = np.stack([xp ** 3, -xp ** 2 * yp, xp * yp ** 2, -yp ** 3], axis=1) % (q * q)
+    ppow = np.array([p ** t for t in range(4 * e)], dtype=np.int64)
+    return _S1Orbits(star, ppow[2 * s + v], ppow[e + s + v], ppow[4 * s + v] * m // p,
+                     ppow[s + v] if v.any() else None, rows.ends)
+
+
+def _s1_orbit_terms(a1: CycInt, a2: CycInt, p: int, e: int) -> np.ndarray:
+    """Each orbit's sum of coset sums at g = 1, p^(4s+v) c_m(X), on the rows
+    with p^s | a1, a2 (the first rows; the others sum to 0).
+
+    The coset sum of lambda = x + y*zeta (mod q = p^e) is the sum of
+    e(<a1 beta, 1>/q) over {beta mod q : lambda beta = -a2 (q)}.  Let
+    s = min(vp(x), vp(y)), lambda' = lambda/p^s = x' + y' zeta, m = p^(e-s),
+    v = vp(x'^4 + y'^4), a_i' = a_i/p^s, u = (x'^4 + y'^4)/p^v and
+    lambda'* = (x'^3, -x'^2 y', x' y'^2, -y'^3) = conj_star(lambda').  Then
+    the sum is
+
+        p^(4s+v) [p^s | a1, a2] [p^v | a1' lambda'*, a2' lambda'*]
+            * e(p^s (-u^-1 <a1' a2' lambda'*, 1>/p^v mod m) / q).
+
+    Proof.
+    * beta mod q is beta mod m plus m*gamma with gamma mod p^s free.  The
+      gamma sum is p^(4s) [p^s | a1], as <., 1> is unimodular (GRAM), and
+      lambda beta = -a2 (q) needs p^s | a2 and leaves lambda' beta = -a2' (m).
+    * lambda' is primitive, so it lies in at most one prime above p: two of
+      the primes (p, zeta - r), r^4 = -1, would give p | y', then p | x'.
+      So (lambda') + (m) = P^min(v, e-s) for that prime P of degree one.
+    * If v > e - s, x' -> x' + m changes nothing mod m and makes
+      v = e - s, since (x' + m)^4 + y'^4 = x'^4 + y'^4 + 4 x'^3 m
+      (mod p m) at odd p.  At p = 2 a primitive non-unit has x', y' odd
+      and v = 1 <= e - s.
+    * Now v <= e - s and lambda' lambda'* = p^v u, u a unit mod p.  Then
+      lambda' maps O/m onto (P^v)/(m), of index p^v, and its kernel is
+      (m/p^v) lambda'* O: that lies in the kernel and also has p^v
+      elements.  A solution exists iff p^v | a2' lambda'*, and then
+      beta0 = -u^-1 a2' lambda'*/p^v is one.  The character is trivial on
+      the kernel iff p^v | a1' lambda'* (unimodularity again), and its
+      value at beta0 is the phase above.
+    * lambda = 0 is the level s = e: q^4 [a1 = a2 = 0 (q)].  A unit,
+      s = v = 0, has the phase -<a1 a2 lambda*, 1>/(x^4 + y^4) mod q.
+    * At odd p not 1 (mod 8), -1 is not a fourth power mod p, so
+      p | x'^4 + y'^4 only when p | x', y'.  Every primitive lambda' is a
+      unit there, and no v-gate runs.
+
+    Orbits.  For a unit t, substituting gamma = t beta gives the coset sum
+    of t lambda at (a1, a2) as that of lambda at (t^-1 a1, a2).  In the
+    closed form, s, v, the count and both gates are unchanged by
+    lambda -> t lambda, and (t lambda')* = t^3 lambda'*, u -> t^4 u, so the
+    phase numerator r = -u^-1 X, X = <a1' a2' lambda'*, 1>/p^v, moves to
+    t^-1 r mod m.  So the phi(m) members of an orbit of level s (one row of
+    orbit_rows) total p^(4s+v) times the Ramanujan sum
+    c_m(r) = c_m(X) = m [m | X] - (m/p) [m/p | X], as c_m is unchanged by a
+    unit scaling of r.  With T = <a1 a2 lambda'*, 1> mod q^2 = p^(2s+v) X,
+    m | X iff p^(e+s+v) | T (s + v <= e keeps it inside q^2).  So the coset
+    sums over D total
+
+        q^4 [a1 = a2 = 0 (q)] + sum over open rows in D of p^(4s+v) c_m(X).
+
+    D is a Z-module, so 0 and a union of orbits, and each orbit's term does
+    not depend on which other orbits are summed.  The table of rows depends
+    on (p, e) only.  coset_phase_counts over an orbit's members stays the
+    oracle of each row's term.
+    """
+    tab = _s1_orbit_table(p, e)
+    q = p ** e
+    qq = q * q
+    sa = vp(gcd(q, *a1.coords(), *a2.coords()), p)  # the gate p^s | a1, a2 is s <= sa
+    n = tab.ends[sa]
+    w = (a1 * a2).coords()
+    T = tab.star[:n] @ np.array([w[3] % qq, w[2] % qq, w[1] % qq, w[0] % qq]) % qq
+    k = tab.k[:n]
+    if tab.vmod is not None:  # the gates p^v | a_i' lambda'*, that is p^(s+v) | a_i lambda'*
+        gates = [[t % q for t in row] for row in mult_matrix(a1) + mult_matrix(a2)]
+        shut = (tab.star[:n] @ np.array(gates).T % tab.vmod[:n, None]).any(axis=1)
+        T[shut] = 0
+        k = np.where(shut, 0, k)
+    if (T % tab.div[:n]).any():
+        raise InvariantError(f"p^v does not divide <a1' a2' lambda'*, 1> mod {p}^{e}")
+    mod = tab.mod[:n]
+    return k * (p * (T % mod == 0) - (T % (mod // p) == 0))
+
+
+def pair_sum(n: int, M: int, beta1p: CycInt, beta2p: CycInt, rows,
+             a1: CycInt = ZERO, a2: CycInt = ZERO):
+    """The sum over (beta1, beta2) mod n with beta_i = beta_i' (gcd(n, M)) and
+    ell(beta1*beta2) in L of e(<a1 beta1 + a2 beta2, 1>/n), L the subgroup of
+    (Z/n)^2 spanned by the integer rows.
+
+    With u = (n/p^e)^-1 mod p^e, 1/n = sum of u/p^e mod 1, and beta mod n,
+    the congruence mod gcd(n, M) and L all split over the prime powers
+    p^e || n (CRT), so the sum is the product of the local sums at p^e with
+    (u a1, u a2).  A local sum is an exact int at a = 0 (mod p^e)
+    (_local_count) and at p not dividing M (_s1_orbit_terms), complex
+    otherwise (_local_sum).
     """
     if n < 1:
-        raise ValueError(f"count_pairs needs n >= 1, got n = {n}")
+        raise ValueError(f"pair_sum needs n >= 1, got n = {n}")
     total = 1
     for p, e in factorize(n).items():
-        g = gcd(p ** e, M)
-        total *= _count_pairs_local_cached(p, e, g, tuple(c % g for c in beta1p.coords()),
-                                           tuple(c % g for c in beta2p.coords()),
-                                           tuple(tuple(r) for r in local_rows(p, e)))
+        pe = p ** e
+        g = gcd(pe, M)
+        b1, b2 = ((CycInt(*(c % g for c in b.coords())) for b in (beta1p, beta2p)) if g > 1
+                  else (ZERO, ZERO))
+        t = tuple((x % pe, y % pe) for x, y in rows)
+        if a1.scalar_divisible(pe) and a2.scalar_divisible(pe):
+            total *= _local_count(p, e, g, b1, b2, t)
+        else:
+            u = pow(n // pe, -1, pe)
+            total *= _local_sum(p, e, g, b1, b2, t, u * a1, u * a2)
     return total
 
 
+@lru_cache(maxsize=256)
+def _dual(p: int, e: int, rows: tuple):
+    """(member, |D|) for the dual D = {lam : t.lam = 0 (p^e) for every row t}
+    of L mod p^e: the rows of orbit_rows(p, e) inside D, a union of orbits as
+    D is a Z-module, or None when L = 0 and D is everything."""
+    pe = p ** e
+    t = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    if not t.any():
+        return None, pe * pe
+    tab = orbit_rows(p, e)
+    member = np.flatnonzero(~(tab.lam @ t.T % pe).any(axis=1))
+    return member, 1 + int((tab.m[member] - tab.m[member] // p).sum())
+
+
 @lru_cache(maxsize=4096)
-def _count_pairs_local_cached(p: int, e: int, g: int, b1c, b2c, rows) -> int:
-    """The local pair count, with the beta' coordinates already reduced mod g.
+def _local_count(p: int, e: int, g: int, b1: CycInt, b2: CycInt, rows: tuple) -> int:
+    """The local sum at a = 0, an exact int; b1, b2 reduced mod g, rows mod p^e.
 
     T(lam) = sum over beta1, beta2 = beta' (g) of psi(lam*beta1*beta2); summing
     beta2 leaves (p^e/g)^4 times the character sum over {beta1 = b1 (g),
     lam*beta1 = 0 (p^e/g)} with phase <lam*b2*beta1, 1>, and the count is
-    |L|/p^(2e) * sum of T over the dual D = {lam : t.lam = 0 (p^e) for every
-    row t of L}.  D is a Z-module, so a union of orbits, and lam = 0 adds
-    (p^e/g)^4 to the character sums.  At g = 1 with D everything the sum is
-    _kernel_size_total.
+    1/|D| times the sum of T over D.  lam = 0 adds (p^e/g)^4 to the character
+    sums, and the orbits inside D add _orbit_sum.  At g = 1 with D everything
+    the sum is _kernel_size_total.
     """
     pe = p ** e
-    t = np.array(rows, dtype=np.int64).reshape(-1, 2) % pe  # so that lam . t stays in int64
-    if g == 1 and not t.any():
-        return pe * pe * _kernel_size_total(p, e)
+    member, size = _dual(p, e, rows)
+    if member is None:
+        if g == 1:
+            return pe * pe * _kernel_size_total(p, e)
+        member = np.arange(len(orbit_rows(p, e).s))
+    total = ((pe // g) ** 4 + _orbit_sum(p, e, g, b1, b2, member)) * (pe // g) ** 4
+    if total % size:
+        raise InvariantError(f"pair count {total}/{size} mod {p}^{e} is not an integer")
+    return total // size
+
+
+def _local_sum(p: int, e: int, g: int, b1: CycInt, b2: CycInt, rows: tuple,
+               a1: CycInt, a2: CycInt):
+    """The local sum at a != 0 (mod p^e).  Detecting ell in L by the
+    characters lam of D and summing beta2 leaves
+
+        (p^e/g)^4/|D| * e(<a2 b2, 1>/p^e) * sum over lam in D of
+            sum over {beta = b1 (g), lam*beta = -a2 (p^e/g)} of
+            e(<(a1 + lam*b2) beta, 1>/p^e).
+
+    At g = 1 every coset sum has a closed form, summed one orbit at a time
+    (_s1_orbit_terms), and the result is an exact int; at g > 1 each lam in
+    D takes one beta_coset_char_sum.
+    """
+    pe = p ** e
+    if g == 1 and pe > S1_FAST_QMAX:
+        raise ValueError(f"the closed form mod {p}^{e} is capped at p^e <= {S1_FAST_QMAX}")
+    member, size = _dual(p, e, rows)
+    if g == 1:
+        terms = _s1_orbit_terms(a1, a2, p, e)
+        if member is not None:
+            terms = terms[member[member < len(terms)]]
+        return pe ** 4 // size * int(terms.sum())
     tab = orbit_rows(p, e)
-    member = np.flatnonzero(~(tab.lam @ t.T % pe).any(axis=1))
-    dual = 1 + int((tab.m[member] - tab.m[member] // p).sum())
-    csum = (pe // g) ** 4 + _orbit_sum(p, e, g, CycInt(*b1c), CycInt(*b2c), member)
-    total = csum * (pe // g) ** 4 * (pe * pe // dual)
-    if total % (pe * pe):
-        raise InvariantError(f"pair count {total}/{pe * pe} mod {p}^{e} is not an integer")
-    return total // (pe * pe)
+    idx = slice(None) if member is None else member
+    lams = [ZERO] + [CycInt(t * x % pe, t * y % pe)
+                     for (x, y), m in zip(tab.lam[idx].tolist(), tab.m[idx].tolist())
+                     for t in range(1, m) if t % p]
+    counts = coset_phase_counts(pe, g, lams, -a2, b1, b2, a1, shift=(a2 * b2).c3)
+    return phase_sum(counts.items(), pe) * (pe // g) ** 4 / size
 
 
 def _kernel_size_total(p: int, e: int) -> int:

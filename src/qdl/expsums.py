@@ -12,12 +12,9 @@ Both sums are defined by congruence-constrained character sums
 The brute evaluators enumerate residue pairs literally (vectorized, with the
 phase accumulated as integer counts per rational phase class, so the only
 floating-point step is one evaluation of a count vector against roots of
-unity).  The fast evaluators detect the ell/det congruences with additive
-characters, execute the beta2 sum, and reduce each remaining term to an exact
-character sum over a beta1 coset computed by integer linear algebra mod q.
-Fast S1 first factors over the prime powers of q (CRT), and at primes not
-dividing M sums every multiplier's coset sum in closed form, one Ramanujan sum
-per unit-scalar orbit of multipliers.
+unity).  The fast evaluators and the zero frequencies are each one
+counts.pair_sum call: a product over the prime powers of the modulus (CRT)
+of character sums over beta1 cosets, in closed form at primes not dividing M.
 
 The zero-frequency normalizations use the full-modulus convention
 
@@ -33,24 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 import numpy as np
 
-from . import InvariantError
-from .counts import count_pairs, coset_phase_counts, orbit_rows, phase_sum
-from .cyclotomic import (CycInt, CycRes, Vec2Int, conj_star, ell, ell_matrices, ell_matrix,
-                         mult_matrix, norm)
-from .residues import IntPoly, divisors, factorize, is_prime, root_counts, vp
+from .counts import S1_FAST_QMAX, coset_phase_counts, pair_sum, phase_sum
+from .cyclotomic import CycInt, CycRes, Vec2Int, conj_star, ell, ell_matrices, ell_matrix, norm
+from .residues import IntPoly, divisors, is_prime, root_counts
 
 # enumeration budgets; configuration constants, not hard limits of the method
 S1_BRUTE_QMAX = 9
-S1_FAST_QMAX = 10_000
-# the p-not-dividing-M rows of S1 hold residues mod q^2, and their int64
-# mat-vec sums four products of two such residues, under 4 q^4 <= 4e16; a
-# row's term p^(4s+v) c_m(X) is at most p^(4s) m^2, level s < e has at most
-# 2m rows, so the terms add up to at most 2 q^4/(p-1) and the sum with the
-# lambda = 0 term q^4 stays under 3 q^4 <= 3e16 < 2^63 at every q <= S1_FAST_QMAX
 S2_BRUTE_DQMAX = 6
 S2_FAST_DQMAX = 200
 
@@ -120,12 +108,16 @@ def _pair_phase_counts(q: int, adm1: np.ndarray, adm2: np.ndarray,
 
 
 def _admissible_pairs(adm1: np.ndarray, adm2: np.ndarray, keep) -> tuple:
-    """Index pairs (i, j) with keep(l1, l2) true for ell(adm1[i] * adm2[j])."""
+    """Index pairs (i, j) with keep(l1, l2) true for ell(adm1[i] * adm2[j]),
+    in (i, j) order, every pair tested literally, a block of rows i at a time."""
+    A = ell_matrices(adm1)
+    step = max(1, 2 ** 18 // len(adm2))  # (block, N2) entries per pass
     idx1_all, idx2_all = [], []
-    for i, A in enumerate(ell_matrices(adm1)):
-        ok = np.nonzero(keep(*(A @ adm2.T)))[0]
-        idx1_all.append(np.full(len(ok), i, dtype=np.int64))
-        idx2_all.append(ok)
+    for start in range(0, len(adm1), step):
+        ell_ij = A[start:start + step] @ adm2.T  # (block, 2, N2)
+        i, j = np.nonzero(keep(ell_ij[:, 0], ell_ij[:, 1]))
+        idx1_all.append(i + start)
+        idx2_all.append(j)
     return np.concatenate(idx1_all), np.concatenate(idx2_all)
 
 
@@ -186,8 +178,8 @@ def _s1_cosets(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> complex:
         q'^2/q^3 * psi_q(a2 b2') * sum over {beta = b1' (g),
              g(x + y z) beta = -a2 (q')} of e(<(a1 + g(x+yz) b2') beta, 1>/q).
 
-    s1_fast runs it on the prime powers dividing M; the tests run it at
-    composite q as the oracle of the factored path.
+    No caller in the package: the tests' oracle of s1_fast, unfactored at
+    composite q.
     """
     g = gcd(q, cong.M)
     qp = q // g
@@ -197,154 +189,22 @@ def _s1_cosets(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> complex:
     return phase_sum(counts.items(), q) * qp ** 2 / q ** 3
 
 
-class _S1Orbits(NamedTuple):
-    """The (a1, a2)-free part of S1 at p^e, p not dividing M, one entry per
-    row of counts.orbit_rows(p, e), as _s1_prime_power_coprime defines it."""
-
-    star: np.ndarray   # (N, 4) lambda'* mod q^2, lambda' after the shift
-    div: np.ndarray    # (N,) p^(2s+v)
-    mod: np.ndarray    # (N,) p^(e+s+v): m | X iff it divides T
-    k: np.ndarray      # (N,) p^(4s+v) m/p
-    vmod: np.ndarray | None  # (N,) p^(s+v), the modulus of the v-gates; None when every v = 0
-    ends: tuple
-
-
-@lru_cache(maxsize=16)
-def _s1_orbit_table(p: int, e: int) -> _S1Orbits:
-    """s, v and lambda'* of each orbit row at p^e."""
-    q = p ** e
-    rows = orbit_rows(p, e)
-    s, m = rows.s, rows.m
-    xp, yp = rows.rep.T
-    nrm = xp ** 4 + yp ** 4  # below 2^63, as x', y' <= q + 1
-    xp = xp + m * (nrm % (m * p) == 0)  # the shift where v > e - s
-    nrm = xp ** 4 + yp ** 4
-    v = sum(nrm % p ** t == 0 for t in range(1, e + 2))  # vp(nrm) capped at e + 1
-    if np.any(v > e - s):
-        raise InvariantError(f"v > e - s after the shift mod {p}^{e}")
-    star = np.stack([xp ** 3, -xp ** 2 * yp, xp * yp ** 2, -yp ** 3], axis=1) % (q * q)
-    ppow = np.array([p ** t for t in range(4 * e)], dtype=np.int64)
-    return _S1Orbits(star, ppow[2 * s + v], ppow[e + s + v], ppow[4 * s + v] * m // p,
-                     ppow[s + v] if v.any() else None, rows.ends)
-
-
-def _s1_orbit_terms(a1: CycInt, a2: CycInt, p: int, e: int) -> np.ndarray:
-    """Each orbit's sum of coset sums, p^(4s+v) c_m(X), on the rows with
-    p^s | a1, a2 (the first rows; the others sum to 0)."""
-    tab = _s1_orbit_table(p, e)
-    q = p ** e
-    qq = q * q
-    sa = vp(gcd(q, *a1.coords(), *a2.coords()), p)  # the gate p^s | a1, a2 is s <= sa
-    n = tab.ends[sa]
-    w = (a1 * a2).coords()
-    T = tab.star[:n] @ np.array([w[3] % qq, w[2] % qq, w[1] % qq, w[0] % qq]) % qq
-    k = tab.k[:n]
-    if tab.vmod is not None:  # the gates p^v | a_i' lambda'*, that is p^(s+v) | a_i lambda'*
-        gates = [[t % q for t in row] for row in mult_matrix(a1) + mult_matrix(a2)]
-        shut = (tab.star[:n] @ np.array(gates).T % tab.vmod[:n, None]).any(axis=1)
-        T[shut] = 0
-        k = np.where(shut, 0, k)
-    if (T % tab.div[:n]).any():
-        raise InvariantError(f"p^v does not divide <a1' a2' lambda'*, 1> mod {p}^{e}")
-    mod = tab.mod[:n]
-    return k * (p * (T % mod == 0) - (T % (mod // p) == 0))
-
-
-def _s1_prime_power_coprime(a1: CycInt, a2: CycInt, p: int, e: int) -> int:
-    """p^e S1(a1, a2; p^e) for p not dividing M, an exact integer.
-
-    The coset sum of lambda = x + y*zeta (mod q = p^e) is the sum of
-    e(<a1 beta, 1>/q) over {beta mod q : lambda beta = -a2 (q)}, and
-    q S1 is the sum of the coset sums over every lambda.  Let
-    s = min(vp(x), vp(y)), lambda' = lambda/p^s = x' + y' zeta, m = p^(e-s),
-    v = vp(x'^4 + y'^4), a_i' = a_i/p^s, u = (x'^4 + y'^4)/p^v and
-    lambda'* = (x'^3, -x'^2 y', x' y'^2, -y'^3) = conj_star(lambda').  Then
-    the sum is
-
-        p^(4s+v) [p^s | a1, a2] [p^v | a1' lambda'*, a2' lambda'*]
-            * e(p^s (-u^-1 <a1' a2' lambda'*, 1>/p^v mod m) / q).
-
-    Proof.
-    * beta mod q is beta mod m plus m*gamma with gamma mod p^s free.  The
-      gamma sum is p^(4s) [p^s | a1], as <., 1> is unimodular (GRAM), and
-      lambda beta = -a2 (q) needs p^s | a2 and leaves lambda' beta = -a2' (m).
-    * lambda' is primitive, so it lies in at most one prime above p: two of
-      the primes (p, zeta - r), r^4 = -1, would give p | y', then p | x'.
-      So (lambda') + (m) = P^min(v, e-s) for that prime P of degree one.
-    * If v > e - s, x' -> x' + m changes nothing mod m and makes
-      v = e - s, since (x' + m)^4 + y'^4 = x'^4 + y'^4 + 4 x'^3 m
-      (mod p m) at odd p.  At p = 2 a primitive non-unit has x', y' odd
-      and v = 1 <= e - s.
-    * Now v <= e - s and lambda' lambda'* = p^v u, u a unit mod p.  Then
-      lambda' maps O/m onto (P^v)/(m), of index p^v, and its kernel is
-      (m/p^v) lambda'* O: that lies in the kernel and also has p^v
-      elements.  A solution exists iff p^v | a2' lambda'*, and then
-      beta0 = -u^-1 a2' lambda'*/p^v is one.  The character is trivial on
-      the kernel iff p^v | a1' lambda'* (unimodularity again), and its
-      value at beta0 is the phase above.
-    * lambda = 0 is the level s = e: q^4 [a1 = a2 = 0 (q)].  A unit,
-      s = v = 0, has the phase -<a1 a2 lambda*, 1>/(x^4 + y^4) mod q.
-    * At odd p not 1 (mod 8), -1 is not a fourth power mod p, so
-      p | x'^4 + y'^4 only when p | x', y'.  Every primitive lambda' is a
-      unit there, and no v-gate runs.
-
-    Orbits.  For a unit t, substituting gamma = t beta gives the coset sum
-    of t lambda at (a1, a2) as that of lambda at (t^-1 a1, a2).  In the
-    closed form, s, v, the count and both gates are unchanged by
-    lambda -> t lambda, and (t lambda')* = t^3 lambda'*, u -> t^4 u, so the
-    phase numerator r = -u^-1 X, X = <a1' a2' lambda'*, 1>/p^v, moves to
-    t^-1 r mod m.  So the phi(m) members of an orbit of level s (one row of
-    counts.orbit_rows) total p^(4s+v) times the Ramanujan sum
-    c_m(r) = c_m(X) = m [m | X] - (m/p) [m/p | X], as c_m is unchanged by a
-    unit scaling of r.  With T = <a1 a2 lambda'*, 1> mod q^2 = p^(2s+v) X,
-    m | X iff p^(e+s+v) | T (s + v <= e keeps it inside q^2).  So
-
-        q S1 = q^4 [a1 = a2 = 0 (q)] + sum over open rows of p^(4s+v) c_m(X),
-
-    and the table of rows depends on (p, e) only.  coset_phase_counts over
-    an orbit's members stays the oracle of each row's term.
-    """
-    q = p ** e
-    zero = a1.scalar_divisible(q) and a2.scalar_divisible(q)
-    return q ** 4 * zero + int(_s1_orbit_terms(a1, a2, p, e).sum())
-
-
 def s1_fast(a1: CycInt, a2: CycInt, q: int, cong: CongruenceData) -> ExpSumValue:
-    """S1 as a product over the prime powers p^e || q (CRT).
-
-    With u = (q/p^e)^-1 mod p^e, 1/q = sum of u/p^e mod 1, and both the ell
-    congruence and beta = beta' (q, M) split over the prime powers, so
-
-        S1(a1, a2; q) = prod over p^e || q of S1(u a1, u a2; p^e),
-
-    each factor with the congruence datum at gcd(p^e, M).  A factor at p not
-    dividing M sums a closed form over every multiplier lambda = x + y*zeta:
-    with lambda = p^s lambda', lambda' primitive and v = vp(N(lambda')), its
-    coset sum is p^(4s+v) e(r/p^e) when p^s | a1, a2 and p^v | a_i/p^s times
-    lambda'*, and 0 otherwise.  The unit multiples t lambda move r to t^-1 r,
-    so each orbit sums to p^(4s+v) times a Ramanujan sum, and p^e times the
-    factor is an exact integer (proof in _s1_prime_power_coprime).  A factor
-    at p | M takes the coset sums of _s1_cosets.
-    """
+    """S1 as q^-3 times counts.pair_sum with L = q'Z^2, q' = q/(q, M)."""
     if q < 1:
         raise ValueError(f"S1 needs q >= 1, got q = {q}")
     if q > S1_FAST_QMAX:
         raise BudgetExceeded(f"fast S1 capped at q <= {S1_FAST_QMAX}")
-    val = complex(1)
-    for p, e in factorize(q).items():
-        pe = p ** e
-        u = pow(q // pe, -1, pe)
-        if cong.M % p:
-            val *= _s1_prime_power_coprime(u * a1, u * a2, p, e) / pe
-        else:
-            val *= _s1_cosets(u * a1, u * a2, pe, cong)
-    return ExpSumValue(val)
+    qp = q // gcd(q, cong.M)
+    return ExpSumValue(complex(pair_sum(q, cong.M, cong.beta1p.lift(), cong.beta2p.lift(),
+                                        [[qp, 0], [0, qp]], a1, a2)) / q ** 3)
 
 
 def s2_fast(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
             cong: CongruenceData) -> ExpSumValue:
-    """S2 via the x, y, z parametrization (gamma_c multiplier) and exact
-    beta1-coset character sums mod dq."""
+    """S2 as (dq)^-3 times counts.pair_sum with L spanned by d*c and Q0*I,
+    Q0 = dq/(q, M): the ell with d | ell and det(c, ell) = 0 (Q0), as c is
+    primitive."""
     if gcd(c[0], c[1]) != 1:
         raise ValueError("c must be primitive")
     if d < 1 or q < 1:
@@ -352,18 +212,9 @@ def s2_fast(a1: CycInt, a2: CycInt, c: Vec2Int, d: int, q: int,
     n = d * q
     if n > S2_FAST_DQMAX:
         raise BudgetExceeded(f"fast S2 capped at dq <= {S2_FAST_DQMAX}")
-    g2 = gcd(n, cong.M)
-    gq = gcd(q, cong.M)
-    Q0 = n // gq
-    npr = n // g2
-    cyc_c = CycInt(-c[1], c[0], 0, 0)  # c1*zeta - c2; det(c, ell(a)) = <a, c1 z - c2>
-    gammas = (gq * x0 * cyc_c + q * CycInt(x1, y1, 0, 0)
-              for x0 in range(Q0) for x1 in range(d) for y1 in range(d))
-    b1, b2 = cong.reduced(g2)
-    counts = coset_phase_counts(n, g2, gammas, -a2, b1, b2, a1, shift=(a2 * b2).c3)
-    val = (phase_sum(counts.items(), n)
-           * npr ** 4 / (d ** 3 * q ** 3 * d * d * Q0))
-    return ExpSumValue(val)
+    Q0 = n // gcd(q, cong.M)
+    return ExpSumValue(complex(pair_sum(n, cong.M, cong.beta1p.lift(), cong.beta2p.lift(),
+                                        [[d * c[0], d * c[1]], [Q0, 0], [0, Q0]], a1, a2)) / n ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +232,9 @@ def n1_tilde(q: int, cong: CongruenceData, ell_modulus: str = "full") -> float:
         raise ValueError("ell_modulus must be 'full' or 'reduced'")
     if q < 1:
         raise ValueError(f"N1~ needs q >= 1, got q = {q}")
-
-    def rows(p, e):
-        if ell_modulus == "full":
-            return []
-        m = min(e, vp(cong.M, p))
-        s = p ** (e - m)
-        return [[s, 0], [0, s]]
-
-    cnt = count_pairs(q, cong.M, cong.beta1p.lift(), cong.beta2p.lift(), rows)
-    return cnt / q ** 6
+    qp = q // gcd(q, cong.M)
+    rows = [] if ell_modulus == "full" else [[qp, 0], [0, qp]]
+    return pair_sum(q, cong.M, cong.beta1p.lift(), cong.beta2p.lift(), rows) / q ** 6
 
 
 def n2_tilde(c: Vec2Int, d: int, q: int, cong: CongruenceData) -> float:
@@ -399,17 +243,9 @@ def n2_tilde(c: Vec2Int, d: int, q: int, cong: CongruenceData) -> float:
         raise ValueError("c must be primitive")
     if d < 1 or q < 1:
         raise ValueError(f"N2~ needs d, q >= 1, got d = {d}, q = {q}")
-    n = d * q
-    mq = cong.M
-
-    def rows(p, e):
-        h = min(vp(d, p), e)
-        v0 = vp(d, p) + vp(q, p) - min(vp(q, p), vp(mq, p))
-        v0 = min(v0, e)
-        return [[p ** h * c[0], p ** h * c[1]],
-                [p ** v0, 0], [0, p ** v0]]
-
-    cnt = count_pairs(n, cong.M, cong.beta1p.lift(), cong.beta2p.lift(), rows)
+    Q0 = d * q // gcd(q, cong.M)
+    cnt = pair_sum(d * q, cong.M, cong.beta1p.lift(), cong.beta2p.lift(),
+                   [[d * c[0], d * c[1]], [Q0, 0], [0, Q0]])
     return cnt / (d ** 6 * q ** 7)
 
 

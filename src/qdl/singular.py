@@ -35,9 +35,8 @@ from math import gcd
 
 import numpy as np
 
-from . import InvariantError
 from . import constants as C
-from .counts import count_pairs, sp_vk
+from .counts import pair_sum, sp_vk
 from .cyclotomic import Vec2Int, ell, norm
 from .expsums import CongruenceData, n1_tilde
 from .residues import divisors, factorize, is_prime, rho_prime_power, sieve_primes, vp
@@ -222,14 +221,7 @@ def sigma_p_cd(p: int, c: Vec2Int, d: int, cong: CongruenceData,
         if p ** (K + 2 * h) > 10 ** 8:
             raise ValueError("truncation level exceeds the count budget")
 
-    a = min(h, K)
-
-    def rows(pp, e):
-        if (pp, e) != (p, K):
-            raise InvariantError(f"count_pairs asked for rows at {pp}^{e}, not {p}^{K}")
-        return [[p ** a * c[0], p ** a * c[1]]]
-
-    cnt = count_pairs(p ** K, cong.M, cong.beta1p.lift(), cong.beta2p.lift(), rows)
+    cnt = pair_sum(p ** K, cong.M, cong.beta1p.lift(), cong.beta2p.lift(), [[d * c[0], d * c[1]]])
     val = cnt / p ** (7 * K)
     return LocalDensityEstimate(p, val, K, tail(K), "sigma_p_cd")
 

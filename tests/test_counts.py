@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from qdl import InvariantError
-from qdl.counts import beta_coset_char_sum, count_pairs, exact_phase_sum, phase_sum, sp_vk
+from qdl.counts import (S1_FAST_QMAX, ZERO, beta_coset_char_sum, exact_phase_sum, pair_sum,
+                        phase_sum, sp_vk)
 from qdl.cyclotomic import CycInt, ell_matrix, mult_matrix
-from qdl.residues import divisors
+from qdl.residues import divisors, factorize
 
 
 def sp_vk_brute(v, p, k, M, b1, b2):
@@ -82,11 +83,15 @@ def test_sp_vk_tail_bound_shape():
 
 
 def test_count_pairs_exhaustive():
-    """count_pairs against literal pair enumeration for composite moduli, with
+    """pair_sum against literal pair enumeration for composite moduli, with
     the full target subgroup L = 0 and the twisted L = Z(1, 3), at unit and
     non-unit beta'.  A non-unit class is compatible (ell(b1' b2') = 0 mod
     gcd(n, M), a nonzero count) or not (count 0, which a wrong orbit weight
-    misses)."""
+    misses).  Where n has prime factors both dividing M and not, the
+    character sum at nonzero (a1, a2) too: the CRT twist, the closed form at
+    p not dividing M and the coset sums over D at p | M, with a drawn at
+    random and from 3O and 4O, which are 0 at one factor of 12 only."""
+    rng = np.random.default_rng(29)
     units = ((6, 1, (0,) * 4, (0,) * 4), (4, 2, (1, 0, 0, 0), (1, 0, 0, 0)),
              (12, 2, (1, 0, 0, 0), (1, 0, 0, 0)))
     compatible = ((12, 2, (0, 0, 0, 0), (1, 1, 0, 0)), (8, 2, (1, 1, 1, 1), (1, 0, 0, 1)),
@@ -112,21 +117,37 @@ def test_count_pairs_exhaustive():
         c3 = (np.outer(x[0], y[3]) + np.outer(x[1], y[2]) + np.outer(x[2], y[1])
               + np.outer(x[3], y[0]))
         # ell = (c3, c2) in L: 0 for the full target, w (1, 3) for the twisted one
+        mixed = g > 1 and any(M % p for p in factorize(n))
         for rows, inside in (([], (c3 % n == 0) & (c2 % n == 0)), ([[1, 3]], (c2 - 3 * c3) % n == 0)):
             count = int(np.count_nonzero(inside))
-            got = count_pairs(n, M, B1, B2, lambda p, e: rows)
+            got = pair_sum(n, M, B1, B2, rows)
             assert got == count, (n, M, b1, b2, rows, got, count)
             if not rows:  # ell(beta1 beta2) = ell(b1' b2') (mod g)
                 assert (count > 0) == ((n, M, b1, b2) not in incompatible), (n, M, b1, b2)
+            for f in (1, 3, 4) if mixed else ():
+                a1, a2 = (f * CycInt(*(int(t) for t in rng.integers(-6, 7, 4))) for _ in range(2))
+                # <a1 beta1 + a2 beta2, 1> mod n over the pairs inside L
+                r = (np.add.outer(np.array(ell_matrix(a1)[0]) @ x, np.array(ell_matrix(a2)[0]) @ y)
+                     % n)[inside]
+                want = np.exp(2j * np.pi * r / n).sum()
+                got = pair_sum(n, M, B1, B2, rows, a1, a2)
+                assert abs(got - want) < 1e-9, (n, M, b1, b2, rows, a1, a2, got, want)
 
 
 def test_count_pairs_rejects_n_below_1_and_over_budget():
     for n in (0, -6):
-        with pytest.raises(ValueError, match="count_pairs needs n >= 1"):
-            count_pairs(n, 1, CycInt(0), CycInt(0), lambda p, e: [])
+        with pytest.raises(ValueError, match="pair_sum needs n >= 1"):
+            pair_sum(n, 1, CycInt(0), CycInt(0), [])
     # 2^25 needs about 10^8 orbit rows: an error before any allocation
     with pytest.raises(ValueError, match="exceed the enumeration budget"):
-        count_pairs(2 ** 25, 2, CycInt(1), CycInt(1), lambda p, e: [])
+        pair_sum(2 ** 25, 2, CycInt(1), CycInt(1), [])
+    # the closed form at p not dividing M keeps int64 residues mod p^(2e) only
+    # up to p^e = S1_FAST_QMAX; the count at a = 0 builds no such table
+    p = 10_007
+    assert p > S1_FAST_QMAX and factorize(p) == {p: 1}
+    with pytest.raises(ValueError, match="capped at p\\^e <= "):
+        pair_sum(p, 1, ZERO, ZERO, [], CycInt(1), CycInt(1))
+    assert pair_sum(p, 1, ZERO, ZERO, []) > 0
 
 
 def test_count_pairs_sublattice_target():
@@ -139,7 +160,7 @@ def test_count_pairs_sublattice_target():
             pr = A * CycInt(*c2)
             if (pr.c3 - pr.c2) % n == 0:
                 count += 1
-    got = count_pairs(n, 1, CycInt(0), CycInt(0), lambda p, e: [[1, 1]])
+    got = pair_sum(n, 1, CycInt(0), CycInt(0), [[1, 1]])
     assert got == count
 
 

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qdl import expsums
-from qdl.counts import ZERO, coset_phase_counts, exact_phase_sum, orbit_rows
+from qdl.counts import (ZERO, _s1_orbit_terms, coset_phase_counts, exact_phase_sum, orbit_rows,
+                        pair_sum)
 from qdl.cyclotomic import CycInt, CycRes, Vec2Int, norm
 from qdl.expsums import (BudgetExceeded, CongruenceData, S1_BRUTE_QMAX,
                          S2_BRUTE_DQMAX, _s1_cosets, a_alpha, n1_tilde, n2_tilde,
@@ -154,7 +154,7 @@ def test_s1_closed_form_matches_coset_oracle():
             gens = ([CycInt(p)] * 2 if draw % 4 == 0
                     else [nonunit[rng.choice(len(nonunit))] for _ in range(2)])
             a1, a2 = (g * rand_cyc(rng) for g in gens)
-            terms = expsums._s1_orbit_terms(a1, a2, p, e).tolist()
+            terms = _s1_orbit_terms(a1, a2, p, e).tolist()
             for i in oracle:
                 lams = (CycInt(x, y) for x, y in orbits[i])
                 want = exact_phase_sum(coset_phase_counts(q, 1, lams, -a2, ZERO, ZERO, a1), p, e)
@@ -164,19 +164,26 @@ def test_s1_closed_form_matches_coset_oracle():
     assert opened > 400, (opened, checked)  # 475 of the 1,080 orbits checked
 
 
-@pytest.mark.parametrize("q", [8, 16, 27, 25, 49, pytest.param(289, marks=pytest.mark.slow)])
-def test_s1_fast_matches_coset_sum_at_level_s(q):
+@pytest.mark.parametrize("q,M", [pytest.param(q, 1, id=str(q)) for q in (8, 16, 27, 25, 49)]
+                         + [pytest.param(289, 1, id="289", marks=pytest.mark.slow)]
+                         + [pytest.param(q, M, id=f"{q}-M{M}")
+                            for q, M in ((8, 2), (8, 4), (8, 8), (16, 2), (16, 4), (16, 8),
+                                         (9, 9), (27, 9))])
+def test_s1_fast_matches_coset_sum_at_level_s(q, M):
     """a_i in p^s O, s = 1..e, open the gate p^s | a1, a2 of the level-s rows,
     which random a_i keep shut: s1_fast against the unfactored coset sum (at
-    q = 289 each oracle call makes q^2 Smith-form solves)."""
-    rng = np.random.default_rng([47, q])
+    q = 289 each oracle call makes q^2 Smith-form solves).  At p | M the
+    factor sums one coset per element of the dual, each orbit row expanded by
+    the units mod m, here with beta1' = 1 + zeta a non-unit at 2."""
+    rng = np.random.default_rng([47, q] if M == 1 else [47, q, M])
+    cong = TRIV if M == 1 else CongruenceData(M, CycRes((1, 1, 0, 0), M), CycRes((1, 0, 0, 0), M))
     (p, e), = factorize(q).items()
     for s in range(1, e + 1):
         for _ in range(3 if q < 100 else 1):
             a1, a2 = p ** s * rand_cyc(rng), p ** s * rand_cyc(rng)
-            want = _s1_cosets(a1, a2, q, TRIV)
-            got = s1_fast(a1, a2, q, TRIV).value
-            assert abs(got - want) <= 1e-8 * max(1, abs(want)), (q, s, a1, a2, got, want)
+            want = _s1_cosets(a1, a2, q, cong)
+            got = s1_fast(a1, a2, q, cong).value
+            assert abs(got - want) <= 1e-8 * max(1, abs(want)), (q, M, s, a1, a2, got, want)
 
 
 def test_s1_fast_matches_coset_sum_at_p_1_mod_8():
@@ -219,7 +226,7 @@ def test_prop61_identity_at_good_primes():
         if norm(alpha) % p == 0:
             continue
         want = p * a_alpha(alpha, p) + _fourth_root_count(p, 1) - 1
-        assert expsums._s1_prime_power_coprime(a1, a2, p, 1) == want, (p, a1, a2)
+        assert pair_sum(p, 1, ZERO, ZERO, [], a1, a2) == p ** 2 * want, (p, a1, a2)
         assert abs(s1_fast(a1, a2, p, TRIV).value - want / p) <= 1e-12, (p, a1, a2)
         checked += 1
     assert checked == 64 + 576 + 2304 + 21 * 60
