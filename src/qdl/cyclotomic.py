@@ -188,6 +188,31 @@ def unembed(s1: complex, s3: complex) -> tuple[float, float, float, float]:
     return (c0, c1, c2, c3)
 
 
+# sigma_1(z) and sigma_3(z)
+_Z1, _Z3 = complex(_W, _W), complex(-_W, _W)
+
+
+def inverse_columns(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns 0 and 1 of mult_matrix(x)^-1, which are x^-1 and z x^-1, and
+    |det mult_matrix(x)| = N(x) = |sigma_1(x)|^2 |sigma_3(x)|^2, for every row
+    x of an (n, 4) float stack, as an (n, 4, 2) and an (n,) array.
+
+    sigma_k(x^-1) = 1 / sigma_k(x), so both columns are unembed of quotients
+    of the two embeddings; no matrix is formed or inverted.  A row of norm 0
+    has no inverse and raises ValueError.
+    """
+    s1, s3 = embed(coords)
+    n1, n3 = s1.real ** 2 + s1.imag ** 2, s3.real ** 2 + s3.imag ** 2
+    norms = n1 * n3
+    if not norms.all():
+        i = int(norms.argmin())  # the first zero: no norm is negative
+        raise ValueError(f"row {i} of the stack, {np.asarray(coords)[i].tolist()}, "
+                         "has norm 0 and no inverse")
+    i1, i3 = s1.conj() / n1, s3.conj() / n3
+    cols = [np.stack(unembed(z1 * i1, z3 * i3), axis=-1) for z1, z3 in ((1, 1), (_Z1, _Z3))]
+    return np.stack(cols, axis=-1), norms
+
+
 def embeddings(a: CycInt) -> tuple[complex, complex, complex, complex]:
     """sigma_k(a) for k = 1, 3, 5, 7."""
     s1, s3 = embed(a.coords())

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdl.cyclotomic import (CycInt, CycRes, GRAM, ONE, ZETA, abs_inf, conj_star, ell,
-                            embed, embeddings, mult_matrices, mult_matrix, norm, sup_norm,
-                            sup_norms, trace_pair, unembed)
+                            embed, embeddings, inverse_columns, mult_matrices, mult_matrix,
+                            norm, sup_norm, sup_norms, trace_pair, unembed)
+from qdl.experiments import ArchWeight
 
 coords = st.tuples(*[st.integers(-50, 50)] * 4)
 
@@ -183,6 +184,50 @@ def test_embed_stack_and_inverse():
         for z, e in zip(roots, embeddings(a)):
             direct = c[0] + c[1] * z + c[2] * z * z + c[3] * z ** 3
             assert abs(e - direct) <= 1e-9 * max(1.0, abs(direct))
+
+
+def _inverse_stack():
+    """Seeded float rows: standard normal, and drawn from phi1's box and from a
+    box four times as wide for three rotated pairs (the rows sigma_infinity's
+    inner integral takes, and rows near the norm-zero locus)."""
+    rng = np.random.default_rng(11)
+    parts = [rng.standard_normal((100, 4))]
+    for phi1, _ in ArchWeight.rotated_generic_pairs(3, 0.3):
+        lo, hi = np.array(phi1.boxes).T
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        parts += [rng.uniform(lo, hi, size=(20, 4)),
+                  rng.uniform(mid - 4 * half, mid + 4 * half, size=(20, 4))]
+    return np.concatenate(parts)
+
+
+def test_inverse_columns_match_lapack():
+    x = _inverse_stack()
+    cols, norms = inverse_columns(x)
+    mats = mult_matrices(x)
+    inv, det = np.linalg.inv(mats)[:, :, :2], np.abs(np.linalg.det(mats))
+    assert cols.shape == (len(x), 4, 2) and norms.shape == (len(x),)
+    err = np.abs(cols - inv).max(axis=(1, 2)) / np.abs(inv).max(axis=(1, 2))
+    assert err.max() <= 1e-12, err.max()
+    assert (np.abs(norms - det) <= 1e-12 * det).all()
+
+
+def test_inverse_columns_exact_on_integer_rows():
+    """N(x) x^-1 = conj_star(x) and N(x) z x^-1 = z conj_star(x): on integer
+    rows the scaled columns round to those integers, and N to norm(x)."""
+    elems = [a for a in _random_elements(17, bound=100) if not a.is_zero()]
+    cols, norms = inverse_columns(np.array([a.coords() for a in elems], dtype=float))
+    for a, c, n in zip(elems, cols, norms):
+        star = conj_star(a)
+        assert int(round(n)) == norm(a)
+        assert [int(v) for v in np.rint(n * c[:, 0])] == list(star.coords())
+        assert [int(v) for v in np.rint(n * c[:, 1])] == list((ZETA * star).coords())
+
+
+def test_inverse_columns_reject_norm_zero():
+    x = _inverse_stack()[:5]
+    x[2] = 0.0
+    with pytest.raises(ValueError, match="row 2 .* has norm 0"):
+        inverse_columns(x)
 
 
 def test_cycres_moduli_must_match():

@@ -296,9 +296,18 @@ def test_sigma_infinity_chunking_is_exact(monkeypatch):
     phi1, phi2 = ArchWeight.rotated_generic_pairs(2, 0.3)[1]
     want = sigma_infinity(phi1, phi2, 250, 5)
     assert want[1] > 0
-    for chunk in (1, 97):
+    for chunk in (1, 97, 4096):
         monkeypatch.setattr(experiments, "_INNER_CHUNK", chunk)
         assert sigma_infinity(phi1, phi2, 250, 5) == want, chunk
+
+
+def test_inner_integrals_reject_norm_zero_sample():
+    """x1 = 0 has no inverse: a ValueError naming the row, not numpy's
+    LinAlgError or a silent inf."""
+    phi2, x1 = _sigma_samples(1)[0]
+    x1[3] = 0.0
+    with pytest.raises(ValueError, match="row 3 .* has norm 0"):
+        _inner_integrals(phi2, x1)
 
 
 def _inner_integrals_per_bump(phi2, x1):
