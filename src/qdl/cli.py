@@ -116,13 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sigma-p")
     p.add_argument("--p", type=int, required=True)
     _add_congruence_args(p)
-    p.add_argument("--tail", type=float, default=1e-6)
 
     p = sub.add_parser("tau-p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--v", type=int, nargs=2, required=True)
     _add_congruence_args(p)
-    p.add_argument("--tail", type=float, default=1e-6)
 
     p = sub.add_parser("singular-series")
     p.add_argument("--prime-cutoff", type=int, default=200_000,
@@ -293,7 +291,7 @@ def dispatch(args) -> int:
     if cmd == "sigma-p":
         from .singular import sigma_p
 
-        est = sigma_p(args.p, _cong_from_args(args), args.tail)
+        est = sigma_p(args.p, _cong_from_args(args))
         emit_json({"p": est.prime, "value": est.value, "truncation_k": est.truncation_k,
                    "tail_bound": est.tail_bound, "kind": est.kind}, out)
         return 0
@@ -302,7 +300,7 @@ def dispatch(args) -> int:
         from .cyclotomic import Vec2Int
         from .singular import tau_p
 
-        est = tau_p(Vec2Int(*args.v), args.p, args.tail, _cong_from_args(args))
+        est = tau_p(Vec2Int(*args.v), args.p, _cong_from_args(args))
         emit_json({"p": est.prime, "v": list(args.v), "value": est.value,
                    "truncation_k": est.truncation_k, "tail_bound": est.tail_bound}, out)
         return 0

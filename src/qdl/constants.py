@@ -16,10 +16,11 @@ OMEGA2_SUPPORT = (0.25, 4.0)
 
 # |N1~(p^k)| <= C * p^(2 m_p), |N1~(p^(k+1)) - N1~(p^k)| <= C * p^(4m_p - 2k - 2)
 PROP63_BOUND_C = 4.0          # calibrated max ~ 1.3 (full) on the criterion grid
-# calibrated on p in {2,3,5}, k <= 6, M in {1,2}; used only at p | M (sigma_p is
-# in closed form elsewhere).  At m_p = 0 and p = 1 (mod 8) it fails: the tail
-# C p^(-2k-2)/(1 - p^-2) is 1.10-1.55x short of the true error at all 12 such
-# p in [17, 281] (p = 17, k = 2: 4.84e-7 against 3.33e-7)
+# calibrated on p in {2,3,5}, k <= 6, M in {1,2}; read by criterion 4 and by the
+# truncated oracle of tests/test_singular.py, as sigma_p is exact at every p.
+# At m_p = 0 and p = 1 (mod 8) it fails: the tail C p^(-2k-2)/(1 - p^-2) is
+# 1.10-1.55x short of the true error at all 12 such p in [17, 281] (p = 17,
+# k = 2: 4.84e-7 against 3.33e-7)
 PROP63_DIFF_C = 8.0
 
 # N2~(c, p^h; p^k) <= C (h+k+1) p^(2 m_p) and the matching difference bound
@@ -32,12 +33,6 @@ PROP72_DIFF_C = 8.0
 # criterion 3's 200 samples (p <= 101).  Frozen with headroom; may be
 # tightened, never loosened.
 PROP61_REMAINDER_C = 96.0
-
-# |S_p(v; k)| <= C (k+1) (v1^4 + v2^4, p^k) p^(-3k)   (tau_p tail)
-SP_VK_TAIL_C = 8.0
-
-# |sigma_p(c,d) truncation step k -> k+1| <= C (h+k+1) p^(4m-2h-3k-3+ell)
-SIGMA_CD_TAIL_C = 8.0
 
 # |log G_p(1)| <= C / p^2 and |(log G_p)'(1)| <= C log p / p^2 for the corrected
 # Euler factors G_p of sum rho(q) q^(-s-1) (singular.c_constants tail)

@@ -28,6 +28,7 @@ beta1-coset sum per lam:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
@@ -414,8 +415,8 @@ def _kernel_size_total(p: int, e: int) -> int:
 # ---------------------------------------------------------------------------
 
 def sp_vk(v: tuple[int, int], p: int, k: int, M: int,
-          beta1p: CycInt, beta2p: CycInt) -> float:
-    """S_p(v; k) from its defining triple character sum, exactly.
+          beta1p: CycInt, beta2p: CycInt) -> Fraction:
+    """S_p(v; k) from its defining triple character sum, as an exact rational.
 
     After executing the w-sum and the beta2-sum, S_p(v;k) equals a prefactor
     times the sum over primitive a (mod p^k) with a.v = 0 (p^k) of character
@@ -424,7 +425,7 @@ def sp_vk(v: tuple[int, int], p: int, k: int, M: int,
     """
     m = vp(M, p)
     if k == 0:
-        return p ** (-8.0 * m)
+        return Fraction(1, p ** (8 * m))
     pk = p ** k
     eta0 = min(m, k)
     geta = p ** eta0
@@ -434,4 +435,4 @@ def sp_vk(v: tuple[int, int], p: int, k: int, M: int,
     pref_exp = k + 4 * (k - eta0) - 9 * k - 8 * max(0, m - k)
     tab = orbit_rows(p, k)
     idx = np.flatnonzero(tab.lam[:tab.ends[0]] @ np.array([v[0] % pk, v[1] % pk]) % pk == 0)
-    return _orbit_sum(p, k, geta, b1, b2, idx) * float(p) ** pref_exp
+    return _orbit_sum(p, k, geta, b1, b2, idx) * Fraction(p) ** pref_exp

@@ -34,7 +34,7 @@ from math import gcd
 import numpy as np
 
 from .counts import S1_FAST_QMAX, coset_phase_counts, pair_sum, phase_sum
-from .cyclotomic import CycInt, CycRes, Vec2Int, conj_star, ell, ell_matrices, ell_matrix, norm
+from .cyclotomic import CycInt, CycRes, Vec2Int, conj_star, ell_matrices, ell_matrix, norm
 from .residues import IntPoly, divisors, is_prime, root_counts
 
 # enumeration budgets; configuration constants, not hard limits of the method
@@ -54,22 +54,16 @@ class CongruenceData:
     M: int
     beta1p: CycRes
     beta2p: CycRes
-    strict: bool = False
 
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if self.beta1p.q != self.M or self.beta2p.q != self.M:
             raise ValueError("beta' residues must live mod M")
-        if self.strict and not self.compatible():
-            raise ValueError("ell(beta1' * beta2') != 0 mod M")
 
     def reduced(self, g: int) -> tuple[CycInt, CycInt]:
         """beta1', beta2' with coordinates reduced into [0, g)."""
         return tuple(CycInt(*(x % g for x in b.coords)) for b in (self.beta1p, self.beta2p))
-
-    def compatible(self) -> bool:
-        return all(x % self.M == 0 for x in ell(self.beta1p.lift() * self.beta2p.lift()))
 
     @staticmethod
     def trivial() -> "CongruenceData":

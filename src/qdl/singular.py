@@ -3,12 +3,10 @@
 The zero-frequency densities live here:
 
 * sigma_p          -- limit of p^-6k #{pairs mod p^k: ell(b1 b2) = 0 (p^k),
-                      b_i = b_i' (p^m_p)}, in closed form at p not dividing M
-                      and when b1' or b2' is a unit at p; its product over p
-                      (times M^2) is the value at 0 of the Moebius-differenced
-                      Dirichlet series of N1~.
-* sigma_p_cd       -- the (c, d)-twisted density with the det congruence,
-                      truncated with a certified tail.
+                      b_i = b_i' (p^m_p)}, in closed form at p not dividing M;
+                      its product over p (times M^2) is the value at 0 of the
+                      Moebius-differenced Dirichlet series of N1~.
+* sigma_p_cd       -- the (c, d)-twisted density with the det congruence.
 * tau_p            -- the character-sum form (1/(v1,v2,p^inf)) sum_k S_p(v;k);
                       equals sigma_p(c, d) at v = c*d, which the acceptance
                       suite checks with both sides computed independently.
@@ -17,19 +15,23 @@ The zero-frequency densities live here:
 * kappa, c_constants -- the archimedean area constant and the Laurent /
                       partial-sum constants of sum rho(q) q^(-s-1).
 
+Each of the three local densities is an exact rational, converted to float
+once: a finite count up to a proved level k0, plus the rest of the series
+summed exactly as a geometric series (_geometric_limit has the shared
+integral and each density's docstring its k0 and ratio), so every tail_bound
+is 0.  The Euler-product tail of c_constants rests on frozen constants from
+qdl.constants.
+
 scipy's quad is imported inside the four functions that integrate, and
 mpmath inside the three that evaluate L-values, so importing this module
 loads neither.
-
-Tail bounds use the difference estimates with empirically frozen constants
-from qdl.constants; every estimate carries its truncation level and a
-rigorous-given-the-constant tail bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -37,10 +39,14 @@ import numpy as np
 
 from . import constants as C
 from .counts import pair_sum, sp_vk
-from .cyclotomic import Vec2Int, ell, norm
+from .cyclotomic import CycInt, Vec2Int, ell, norm
 from .expsums import CongruenceData, n1_tilde
 from .residues import divisors, factorize, is_prime, rho_prime_power, sieve_primes, vp
 from .weights import BumpWeight
+
+# the largest p^k at which a local density counts: a count mod p^k makes up to
+# about p^k (1 + 2/p) orbit solves
+LOCAL_COUNT_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -97,27 +103,100 @@ def _sigma_p_coprime(p: np.ndarray) -> np.ndarray:
     return np.where(p == 2, 4 / 3, 1 + pf ** -2 + split)
 
 
-def sigma_p(p: int, cong: CongruenceData, target_tail: float = 1e-6,
-            cap_to_budget: bool = False) -> LocalDensityEstimate:
-    """Zero-frequency local density at p.
+def _geometric_limit(p: int, k0: int, r: Fraction, count) -> Fraction:
+    """lim a_k of the exact counts a_k = count(k), given a_k = L - C r^k at every
+    k >= k0: a_k0 when r = 0, else a_k0 + (a_(k0+1) - a_k0) / (1 - r).  A count
+    past p^k = LOCAL_COUNT_BUDGET raises ValueError.
 
-    At p not dividing M: the closed form _sigma_p_coprime, with truncation_k 0
-    and tail_bound 0.
+    sigma_p, tau_p and sigma_p(c, d) are limits of such counts.  Their
+    increments share one integral, and the level k0 and ratio r of each are read
+    off it.  Let m = v_p(M), b_i = beta_i' mod p^m, B_i = b_i + p^m O_p, and
+    psi(x) = e(<x, 1>) on K_p, trivial exactly on O_p as <., .> is unimodular.
+    With Haar measure of mass 1 on O_p and lam = x + y zeta, (x, y) primitive
+    mod p^j, put
 
-    At p | M with m = v_p(M), when p does not divide N(beta1') or N(beta2'):
-    exactly [ell(beta1' beta2') = 0 (p^m)] p^(-6m), truncation_k m, tail_bound
-    0.  Proof, with beta1' the unit: for k >= m each of the p^(4(k-m)) beta1
-    mod p^k is a unit, so beta2 -> beta1 beta2 maps beta2' + p^m O bijectively
-    onto beta1' beta2' + p^m O mod p^k.  As ell: O -> Z^2 is onto, that coset
-    holds p^(2(k-m)) gamma with ell(gamma) = 0 (p^k) if ell(beta1' beta2') = 0
-    (p^m), else none; so N1~(p^k) = p^(6(k-m)) / p^(6k) or 0 for every k >= m.
+        E_j(lam) = int over B1 x B2 of psi(lam beta1 beta2 / p^j).
 
-    At the other p | M: the truncation N1~(p^k) in the full-modulus
-    convention, with |N1~(p^(k+1)) - N1~(p^k)| <= C p^(4 m_p - 2k - 2) (C the
-    frozen C.PROP63_DIFF_C), so the tail after level k is that over 1 - p^-2.
-    Its count makes about p^k orbit solves; with cap_to_budget the truncation
-    stops at the budget and the (larger) achieved tail is certified instead of
-    raising.
+    Integrating beta2 over b2 + p^m O_p gives p^(-4m) times the integral over
+    beta1 in B1 with lam beta1 in p^(j-m) O_p of psi(lam b2 beta1 / p^j).  That
+    factors over the primes P | p of O_p = prod O_P (ramification e, degree f,
+    w = v_P(lam), c_i = v_P(b_i) read mod p^m, i.e. capped at e m):
+
+        (i)  w < e (j - 2m):  [c1, c2 >= e m] p^(-e f (j - m) + f w),
+        (ii) w >= e (j - 2m): [c1, c2 >= e (j - m) - w] p^(-e f m) psi_P(lam b1 b2 / p^j).
+
+    Proof: the P-part of beta1 runs over b1 + P^(em) met with P^A, A = e(j-m) - w.
+    That is the coset b1 + P^(em) when A <= em and c1 >= A, the ideal P^A when
+    A > em and c1 >= em, and empty otherwise; beta -> psi_P(lam b2 beta / p^j)
+    integrates over x + P^h to p^(-f h) psi_P(lam b2 x / p^j) when
+    w + v_P(b2) + h >= e j, and to 0 otherwise.
+
+    A primitive lam lies in at most one P: two primes (p, zeta - s), s^4 = -1,
+    would give p | y and then p | x.  At p = 3, 5, 7 (mod 8) it lies in none
+    (f = 2, and 1, zeta are independent mod P).  At p = 2 there is one P, with
+    e = 4 and w <= 1, as x^4 + y^4 = 2 (mod 16) for odd x, y.  At p = 1 (mod 8),
+    e = f = 1 and w = v_p(x^4 + y^4) at that P.
+    """
+    top = k0 + (r != 0)
+    if p ** top > LOCAL_COUNT_BUDGET:
+        raise ValueError(f"the local density counts mod {p}^{top}, past the enumeration "
+                         f"budget {LOCAL_COUNT_BUDGET}")
+    a0 = count(k0)
+    return a0 if r == 0 else a0 + (count(k0 + 1) - a0) / (1 - r)
+
+
+def _sigma_p_local(p: int, m: int, b1: CycInt, b2: CycInt) -> tuple[Fraction, int]:
+    """(sigma_p, k0) at v_p(M) = m, b_i = beta_i' with coordinates in [0, M)
+    (only b_i mod p^m counts): the counts a_k = N1~(p^k) ("full") are
+    L - C r^k from k0 on, unless the closed form at m = 0 is reached at
+    p = 1 (mod 8), where they carry a k p^(-2k) term (_sigma_p_coprime).
+
+    m = 0: the closed form of _sigma_p_coprime, k0 = 0.
+
+    A unit b_i: a_k = [ell(b1 b2) = 0 (p^m)] p^(-6m) for every k >= m, so k0 = m.
+    Proof, with b1 the unit: for k >= m each of the p^(4(k-m)) beta1 mod p^k is a
+    unit, so beta2 -> beta1 beta2 maps b2 + p^m O bijectively onto
+    b1 b2 + p^m O mod p^k.  As ell: O -> Z^2 is onto, that coset holds
+    p^(2(k-m)) gamma with ell(gamma) = 0 (p^k) if ell(b1 b2) = 0 (p^m), else none.
+
+    Both b_i = 0 (mod p): beta_i = p gamma_i maps b_i/p + p^(m-1) O onto B_i
+    with Jacobian p^-4 each, and ell(beta1 beta2) = p^2 ell(gamma1 gamma2), so
+    a_k = p^-4 a_(k-2) at (p^(m-1), b/p) for k >= m + 1: sigma_p is p^-4 times
+    that one, from k0 two levels up.
+
+    Otherwise both b_i are non-units, not both 0 mod p.  Detecting
+    ell = 0 (p^k) by the characters lam mod p^k, a_k is the sum over j <= k of
+    the E_j (_geometric_limit) over the primitive lam mod p^j.  Take j > 2m.
+    A factor (i) vanishes unless b1 = b2 = 0 (p^m) at its P.  At p = 2 and
+    p = 3, 5, 7 (mod 8) every factor of every lam is (i), and b1 = b2 = 0 at
+    every P would make both 0 mod p: the increments vanish, r = 0.  At
+    p = 1 (mod 8) a lam contributes only if it lies in a P0 with w >= j - 2m and
+    b1 = b2 = 0 (p^m) at the other three P; one b_i is then a P0-unit (else both
+    are 0 mod p), so (ii) needs w >= j - m.  Those lam have lam_P0 = p^(j-m) z,
+    and for each z mod p^m the (x, y) with y a unit, phi(p^j) of them; the sum of
+    psi_P0 over z is p^m [v_P0(b1 b2) >= m].  The increment at j is a constant
+    times phi(p^j) p^(-3j), so r = p^-2.  Both ways k0 = 2m.
+    """
+    if m == 0:
+        x = Fraction(1, p * p)
+        return (Fraction(4, 3) if p == 2 else 1 + x + Fraction(4, (p + 1) ** 2) * (p % 8 == 1)), 0
+    if norm(b1) % p or norm(b2) % p:
+        return Fraction(all(x % p ** m == 0 for x in ell(b1 * b2)), p ** (6 * m)), m
+    if b1.scalar_divisible(p) and b2.scalar_divisible(p):
+        val, k0 = _sigma_p_local(p, m - 1, *(CycInt(*(x // p for x in b.coords()))
+                                             for b in (b1, b2)))
+        return val / p ** 4, k0 + 2
+    r = Fraction(1, p * p) if p % 8 == 1 else Fraction(0)
+    return _geometric_limit(p, 2 * m, r, lambda k: Fraction(
+        pair_sum(p ** k, p ** m, b1, b2, []), p ** (6 * k))), 2 * m
+
+
+def sigma_p(p: int, cong: CongruenceData) -> LocalDensityEstimate:
+    """Zero-frequency local density at p: lim N1~(p^k) in the full-modulus
+    convention, exactly, with tail_bound 0.
+
+    At p not dividing M: the closed form _sigma_p_coprime, truncation_k 0.
+    At p | M: the exact rational of _sigma_p_local, with truncation_k its k0.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -125,105 +204,87 @@ def sigma_p(p: int, cong: CongruenceData, target_tail: float = 1e-6,
     if m == 0:
         return LocalDensityEstimate(p, float(_sigma_p_coprime(np.array([p]))[0]), 0, 0.0,
                                     "sigma_p")
-    b1, b2 = cong.beta1p.lift(), cong.beta2p.lift()
-    if norm(b1) % p or norm(b2) % p:
-        hit = all(x % p ** m == 0 for x in ell(b1 * b2))
-        return LocalDensityEstimate(p, hit / p ** (6 * m), m, 0.0, "sigma_p")
-
-    def tail(k: int) -> float:
-        return C.PROP63_DIFF_C * p ** (4 * m - 2 * k - 2) / (1 - p ** -2)
-
-    # budget: p^(2k) <= 2^16; the printed sigma_p at non-unit classes depends on it
-    kmax = max(1, int(math.log(65536, p) / 2))
-    k = m
-    while tail(k) > target_tail and k < kmax:
-        k += 1
-    if tail(k) > target_tail and not cap_to_budget:
-        raise ValueError("count budget exceeded before the tail target was met")
-    val = n1_tilde(p ** k, cong, "full")
-    return LocalDensityEstimate(p, val, k, tail(k), "sigma_p")
+    val, k0 = _sigma_p_local(p, m, cong.beta1p.lift(), cong.beta2p.lift())
+    return LocalDensityEstimate(p, float(val), k0, 0.0, "sigma_p")
 
 
 def sigma_p_product(cong: CongruenceData) -> tuple[float, float]:
     """prod_p sigma_p and its error.
 
     The closed form at p not dividing M over p <= P = 2e5, in one numpy pass,
-    times sigma_p(p, cong, cap_to_budget=True) at p | M (t_p = 0 where exact).
-    Each omitted factor obeys 1 < sigma_p < 1 + 5/p^2, and sum_{p > P} 1/p^2
-    <= 2.03248 / (P log P) (Rosser-Schoenfeld, as in c_constants), so the
-    omitted product lies in [1, e^T] with T = 5 * 2.03248 / (P log P).  With
-    |sigma_p - v_p| <= t_p at p | M the error is at most
-    c (e^T prod (v_p + t_p) - prod v_p), c the product of the closed forms.
+    times the exact sigma_p at p | M.  Each omitted factor obeys
+    1 < sigma_p < 1 + 5/p^2, and sum_{p > P} 1/p^2 <= 2.03248 / (P log P)
+    (Rosser-Schoenfeld, as in c_constants), so the omitted product lies in
+    [1, e^T] with T = 5 * 2.03248 / (P log P), and the error is at most
+    v (e^T - 1), v the product over p <= P.
     """
     P = 200_000
     p = np.array(sieve_primes(P))
-    lo = hi = math.exp(math.fsum(np.log(_sigma_p_coprime(p[cong.M % p != 0]))))
+    val = math.exp(math.fsum(np.log(_sigma_p_coprime(p[cong.M % p != 0]))))
     for q in factorize(cong.M):
-        est = sigma_p(q, cong, cap_to_budget=True)
-        lo, hi = lo * est.value, hi * (est.value + est.tail_bound)
-    return lo, hi * math.exp(5 * 2.03248 / (P * math.log(P))) - lo
+        val *= sigma_p(q, cong).value
+    return val, val * math.exp(5 * 2.03248 / (P * math.log(P))) - val
 
 
-def tau_p(v: Vec2Int, p: int, target_tail: float = 1e-6,
-          cong: CongruenceData | None = None) -> LocalDensityEstimate:
-    """tau_p(v) = (v1, v2, p^inf)^-1 sum_{k >= 0} S_p(v; k), truncated.
+def _tail_level(p: int, m: int, g: int, w: Vec2Int) -> int:
+    """k0 = max(g, 2m) + v_p(w1^4 + w2^4) for w primitive: from k0 on the
+    partial sums of S_p(p^g w; k) are L - C p^(-3k) (proof at tau_p)."""
+    return max(g, 2 * m) + vp(w[0] ** 4 + w[1] ** 4, p)
 
-    Tail from |S_p(v;k)| <= C (k+1) (v1^4+v2^4, p^k) p^(-3k).
+
+def tau_p(v: Vec2Int, p: int, cong: CongruenceData | None = None) -> LocalDensityEstimate:
+    """tau_p(v) = (v1, v2, p^inf)^-1 sum_{k >= 0} S_p(v; k), exactly, with
+    tail_bound 0 and truncation_k k0 = _tail_level.
+
+    S_p(v; k) (counts.sp_vk, exact) is the sum of E_k(lam) (_geometric_limit)
+    over the primitive lam mod p^k with lam.v = 0 (p^k).  Write v = p^g v',
+    v' primitive, l' = v_p(v1'^4 + v2'^4), and let k > k0 = max(g, 2m) + l'.
+    Such lam are u (-v2' + v1' zeta) (mod p^(k-g)), u a unit, phi(p^(k-g)) p^(2g)
+    of them; as k - g > l', each has v_p(N(lam)) = l' and the valuations of
+    -v2' + v1' zeta at every P, so w <= l' < k - 2m <= e (k - 2m) and every
+    factor is (i).  So E_k(lam) = [b1 = b2 = 0 (p^m)] p^(-4k + l') and
+
+        S_p(v; k) = [b1 = b2 = 0 (p^m)] (1 - 1/p) p^(-3k + g + l'),
+
+    a geometric series of ratio p^-3 from k0 + 1 on.
     """
     if v == (0, 0):
         raise ValueError("tau_p requires v != 0")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     cong = cong or CongruenceData.trivial()
-    ell_v = vp(v[0] ** 4 + v[1] ** 4, p)
-    Ct = C.SP_VK_TAIL_C
-
-    def tail(K: int) -> float:
-        return sum(Ct * (k + 1) * p ** (min(ell_v, k) - 3 * k) for k in range(K + 1, K + 60))
-
-    K = 1
-    while tail(K) > target_tail:
-        K += 1
-        if p ** K > 10 ** 7:
-            raise ValueError("truncation level exceeds the enumeration budget")
+    g = vp(gcd(v[0], v[1]), p)
+    k0 = _tail_level(p, vp(cong.M, p), g, (v[0] // p ** g, v[1] // p ** g))
     b1, b2 = cong.beta1p.lift(), cong.beta2p.lift()
-    total = sum(sp_vk(tuple(v), p, k, cong.M, b1, b2) for k in range(K + 1))
-    pref = p ** vp(gcd(v[0], v[1]), p)
-    val = total / pref
-    return LocalDensityEstimate(p, val, K, tail(K) / pref, "tau_p")
+    term = lru_cache(maxsize=None)(lambda k: sp_vk(tuple(v), p, k, cong.M, b1, b2))
+    val = _geometric_limit(p, k0, Fraction(1, p ** 3),
+                           lambda K: sum(map(term, range(K + 1))) / p ** g)
+    return LocalDensityEstimate(p, float(val), k0, 0.0, "tau_p")
 
 
-def sigma_p_cd(p: int, c: Vec2Int, d: int, cong: CongruenceData,
-               target_tail: float = 1e-6) -> LocalDensityEstimate:
-    """sigma_p(c, d): truncated limit of p^-7k counts with the det condition.
+def sigma_p_cd(p: int, c: Vec2Int, d: int, cong: CongruenceData) -> LocalDensityEstimate:
+    """sigma_p(c, d) = lim a_K, exactly, with tail_bound 0 and truncation_k
+    k0 = _tail_level, where
 
-    Truncation value at level k:
-        p^-7k #{(b1, b2) in V_{p^k}: p^k | det(c, ell(b1 b2)),
-                p^min(v_p(d),k) | ell(b1 b2)}
-    with the tail from the (h+k+1) p^(4m-2h-3k-3+ell) difference shape.
+        a_K = p^-7K #{(b1, b2) in V_{p^K}: ell(b1 b2) in Z_p d c + p^K Z_p^2}.
+
+    With h = v_p(d) and K >= max(h, m), the characters lam mod p^K of that
+    target are the lam with lam.dc = 0 (p^K), p^(K+h) of them, so
+    a_K = p^-h sum_{j <= K} (sum of E_j over the primitive lam mod p^j with
+    lam.dc = 0 (p^j)) = p^-h sum_{j <= K} S_p(dc; j): from k0 on,
+    a_K = L - C p^(-3K) (tau_p, with g = h and v' = (d/p^h) c).  The count is
+    pair_sum's, independent of tau_p's sp_vk, so sigma_p(c, d) = tau_p(cd)
+    (Lemma 9.3) compares two computations of one rational.
     """
     if gcd(c[0], c[1]) != 1:
         raise ValueError("c must be primitive")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    m = vp(cong.M, p)
-    h = vp(d, p)
-    ell = vp(c[0] ** 4 + c[1] ** 4, p)
-    Cd = C.SIGMA_CD_TAIL_C
-
-    def tail(K: int) -> float:
-        return sum(Cd * (h + k + 1) * p ** (4 * m - 2 * h - 3 * k - 3 + min(ell, h + k + 1))
-                   for k in range(K, K + 60))
-
-    K = max(1, m)
-    while tail(K) > target_tail:
-        K += 1
-        if p ** (K + 2 * h) > 10 ** 8:
-            raise ValueError("truncation level exceeds the count budget")
-
-    cnt = pair_sum(p ** K, cong.M, cong.beta1p.lift(), cong.beta2p.lift(), [[d * c[0], d * c[1]]])
-    val = cnt / p ** (7 * K)
-    return LocalDensityEstimate(p, val, K, tail(K), "sigma_p_cd")
+    k0 = _tail_level(p, vp(cong.M, p), vp(d, p), c)
+    b1, b2 = cong.beta1p.lift(), cong.beta2p.lift()
+    val = _geometric_limit(p, k0, Fraction(1, p ** 3), lambda K: Fraction(
+        pair_sum(p ** K, cong.M, b1, b2, [[d * c[0], d * c[1]]]), p ** (7 * K)))
+    return LocalDensityEstimate(p, float(val), k0, 0.0, "sigma_p_cd")
 
 
 # ---------------------------------------------------------------------------

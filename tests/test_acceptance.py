@@ -207,8 +207,8 @@ def test_criterion_07_local_density_identities():
         for p in (2, 3, 5):
             for c in (Vec2Int(1, 0), Vec2Int(0, 1), Vec2Int(1, 1), Vec2Int(1, 2)):
                 for d in (1, 2):
-                    s = sigma_p_cd(p, c, d, cong, target_tail=1e-4)
-                    t = tau_p(Vec2Int(c[0] * d, c[1] * d), p, target_tail=1e-4, cong=cong)
+                    s = sigma_p_cd(p, c, d, cong)
+                    t = tau_p(Vec2Int(c[0] * d, c[1] * d), p, cong=cong)
                     gap = abs(s.value - t.value) - (s.tail_bound + t.tail_bound)
                     worst_gap = max(worst_gap, gap)
     shat_ok = True

@@ -33,6 +33,7 @@ def test_usage_errors(tmp_path, capsys):
     assert run_cli("rho", "--q", "0").returncode == 1
     assert run_cli("no-such-command").returncode == 1
     assert run_cli("divisor-sum", "--N", "100000000000").returncode == 1
+    assert run_cli("sigma-p", "--p", "5", "--tail", "1e-8").returncode == 1
     r = run_cli("singular-series", "--method", "euler-product", "--prime-cutoff", "1")
     assert r.returncode == 1 and r.stderr.startswith("error:"), r.stderr
     # an explicit format the subcommand cannot print is refused, not ignored

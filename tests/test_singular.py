@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from qdl import constants as C
-from qdl.counts import _kernel_size_total, pair_sum
-from qdl.cyclotomic import CycInt, CycRes, Vec2Int, ell, norm
+from qdl.counts import ZERO, _kernel_size_total, pair_sum, sp_vk
+from qdl.cyclotomic import CycInt, CycRes, Vec2Int, conj_star, ell, mult_matrices, norm
 from qdl.expsums import CongruenceData, n1_tilde
 from qdl.residues import factorize, rho, rho_prime_power, sieve_primes, vp
 from qdl.singular import (_l_values_at_1, _log_h_factors, _log_local_factors,
@@ -41,27 +42,31 @@ def test_n1_star_decay():
 
 def test_sigma_p_values_and_tails():
     for p in (3, 5, 7, 11):
-        est = sigma_p(p, TRIV, target_tail=1e-7)
+        est = sigma_p(p, TRIV)
         assert est.tail_bound <= 1e-7
         # sigma_p = 1 + O(1/p): deviation shrinks
         assert abs(est.value - 1) < 6.0 / p, (p, est.value)
     # stabilization: refining k changes the value by less than the tail
-    e1 = sigma_p(3, TRIV, target_tail=1e-5)
-    e2 = sigma_p(3, TRIV, target_tail=1e-8)
+    e1 = sigma_p(3, TRIV)
+    e2 = sigma_p(3, TRIV)
     assert abs(e1.value - e2.value) <= e1.tail_bound
     # p = 2, M = 2, compatible beta': finite positive value
-    est = sigma_p(2, CONG2, target_tail=1e-3, cap_to_budget=True)
+    est = sigma_p(2, CONG2)
     assert est.value > 0
 
 
 def test_sigma_p_budget_error():
-    # both beta' divisible by 1 + zeta: no closed form, so the truncation runs
+    # both beta' = 0 mod 2: exactly 2^-4 sigma_2(M = 1) = 1/12, with no count
     zero2 = CongruenceData(2, CycRes((0, 0, 0, 0), 2), CycRes((0, 0, 0, 0), 2))
-    with pytest.raises(ValueError):
-        sigma_p(2, zero2, target_tail=1e-12)
-    # a unit beta' needs no count at any tail target
-    est = sigma_p(2, CONG2, target_tail=1e-12)
+    est = sigma_p(2, zero2)
+    assert (est.value, est.truncation_k, est.tail_bound) == (1 / 12, 2, 0.0)
+    # a unit beta' needs no count either
+    est = sigma_p(2, CONG2)
     assert (est.value, est.truncation_k, est.tail_bound) == (1 / 64, 1, 0.0)
+    # a class that counts mod 2^20 is past the budget, refused before counting
+    deep = CongruenceData(1024, CycRes((1, 1, 0, 0), 1024), CycRes((0, 0, 0, 0), 1024))
+    with pytest.raises(ValueError, match="budget"):
+        sigma_p(2, deep)
 
 
 def _unit_class_pairs(M, p, per_kind=3, seed=0):
@@ -95,6 +100,174 @@ def test_sigma_p_unit_class_is_exact(M):
                 assert got == want, (M, p, k, b1, b2)
 
 
+def _limit_of_counts(a, k0, p, r=None):
+    """The limit L of exact counts a(k), checked to be L - C r^k at k0 ... k0 + 3.
+    r is given, or read off the counts and required to be 0, p^-2 or p^-3."""
+    a0, a1, a2, a3 = (a(k) for k in range(k0, k0 + 4))
+    if r is None:
+        r = Fraction(0) if a1 == a0 else (a2 - a1) / (a1 - a0)
+        assert r in (0, Fraction(1, p ** 2), Fraction(1, p ** 3)), r
+    assert a2 - a1 == r * (a1 - a0) and a3 - a2 == r * (a2 - a1), (a0, a1, a2, a3, r)
+    return a0 + (a1 - a0) / (1 - r)
+
+
+def _residues_mod(M):
+    """O/M in the order of the key sum c_i M^(3-i)."""
+    return [CycInt(*t) for t in itertools.product(range(M), repeat=4)]
+
+
+def _class_pair_orbits(M):
+    """One (beta1', beta2') per orbit of the group generated by
+    (b1, b2) -> (t b1, u b2 / t), t a unit of O/M and u of Z/M, by the swap
+    (b1, b2) -> (b2, b1), and by zeta -> -zeta on both.  Each maps the pairs
+    (beta1, beta2) of one class onto those of the other and keeps
+    ell(beta1 beta2) = 0 (p^k), so every count is constant on an orbit."""
+    p = next(iter(factorize(M)))
+    elems = _residues_mod(M)
+    units = [t for t in elems if norm(t) % p]
+    inv = [conj_star(t) * pow(norm(t), -1, M) for t in units]
+    mult = {side: mult_matrices(np.array([(t * u).coords() for t in ts for u in us]))
+            for side, ts, us in ((0, units, [1]), (1, inv, [u for u in range(1, M) if u % p]))}
+    digits = M ** np.arange(4)
+    seen = np.zeros(M ** 8, dtype=bool)
+    reps = []
+    for key in range(M ** 8):
+        if seen[key]:
+            continue
+        b1, b2 = elems[key // M ** 4], elems[key % M ** 4]
+        reps.append((b1, b2))
+        f1, f2 = (CycInt(b.c0, -b.c1, b.c2, -b.c3) for b in (b1, b2))
+        for c1, c2 in ((b1, b2), (b2, b1), (f1, f2), (f2, f1)):
+            k1 = mult[0] @ np.array(c1.coords()) % M @ digits[::-1]
+            k2 = mult[1] @ np.array(c2.coords()) % M @ digits[::-1]
+            seen[(k1 * M ** 4 + k2.reshape(len(units), -1).T).ravel()] = True
+    return reps
+
+
+def _class_pair_sample(M, n, seed=0):
+    """n seeded (beta1', beta2') mod M = p^m, each b a unit times random powers of
+    the primes above p, and b1 a unit in every third pair, so that unit,
+    non-unit and zero classes all come up."""
+    p = next(iter(factorize(M)))
+    primes = {2: [CycInt(1, -1)], 3: [CycInt(2, 1, 1), CycInt(2, 2, 1)]}[p]
+    top = 4 * vp(M, p) // len(primes)  # exponents up to it reach 0 mod M
+    rng = np.random.default_rng(seed)
+    units = [t for t in map(CycInt, *rng.integers(0, M, (4, 60)).tolist()) if norm(t) % p]
+    out = []
+    for i in range(n):
+        pair = []
+        for j in range(2):
+            b = units[int(rng.integers(len(units)))]
+            for pi in primes:
+                for _ in range(0 if i % 3 == j == 0 else int(rng.integers(0, top + 1))):
+                    b = b * pi
+            pair.append(CycInt(*(c % M for c in b.coords())))
+        out.append(tuple(pair))
+    return out
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 8, 9])
+def test_sigma_p_every_class_is_its_counts_limit(M):
+    """sigma_p at p | M is the limit of N1~(p^k) = pair_sum / p^(6k): the counts at
+    truncation_k ... truncation_k + 3 are L - C r^k with r in {0, p^-2, p^-3}, and
+    sigma_p returns float(L).  Every class pair mod 2, 3, 4 up to the symmetries
+    of _class_pair_orbits, and a seeded sample mod 8 and 9; compatible and
+    incompatible, unit, non-unit and zero classes all occur."""
+    p = next(iter(factorize(M)))
+    pairs = _class_pair_orbits(M) if M <= 4 else _class_pair_sample(M, 12)
+    kinds = set()
+    for b1, b2 in pairs:
+        est = sigma_p(p, CongruenceData(M, CycRes(b1, M), CycRes(b2, M)))
+        limit = _limit_of_counts(lambda k: Fraction(pair_sum(p ** k, M, b1, b2, []),
+                                                    p ** (6 * k)), est.truncation_k, p)
+        assert (est.value, est.tail_bound) == (float(limit), 0.0), (M, b1, b2)
+        units = (norm(b1) % p > 0) + (norm(b2) % p > 0)
+        kinds.add((units, b1.scalar_divisible(p) and b2.scalar_divisible(p), limit > 0))
+    # unit, non-unit and both-zero-mod-p classes, and zero and nonzero densities
+    assert {(u > 0, z) for u, z, _ in kinds} >= {(True, False), (False, False), (False, True)}
+    assert {pos for *_, pos in kinds} == {False, True}
+
+
+def test_sigma_p_split_prime_class_has_ratio_p_minus_2():
+    """At p = 1 (mod 8), M = p, beta1' = 0 at three of the four primes above p and
+    a unit at the fourth, beta2' = 0: the increments of N1~(p^k) from k = 2m + 1
+    on have ratio p^-2, checked on the counts at k = 2, 3, 4."""
+    p = 17
+    b1 = CycInt(*(c % p for c in (CycInt(-8, 1) * CycInt(-9, 1) * CycInt(-15, 1)).coords()))
+    est = sigma_p(p, CongruenceData(p, CycRes(b1, p), CycRes((0, 0, 0, 0), p)))
+    a0, a1, a2 = (Fraction(pair_sum(p ** k, p, b1, ZERO, []), p ** (6 * k)) for k in (2, 3, 4))
+    r = Fraction(1, p * p)
+    assert a1 != a0 and a2 - a1 == r * (a1 - a0)
+    assert (est.value, est.truncation_k) == (float(a0 + (a1 - a0) / (1 - r)), 2)
+
+
+def test_sigma_p_both_zero_mod_p_reduces_to_m_minus_1():
+    """beta_i = p gamma_i: N1~(p^k) at (M, b) is p^-4 N1~(p^(k-2)) at (M/p, b/p)
+    for k > m, so sigma_p is p^-4 times the one a level down; at M = p that is
+    p^-4 times the closed form: 1/12, 10/729, 26/15625 at p = 2, 3, 5."""
+    for p, want in ((2, Fraction(1, 12)), (3, Fraction(10, 729)), (5, Fraction(26, 15625))):
+        zero = CongruenceData(p, CycRes((0, 0, 0, 0), p), CycRes((0, 0, 0, 0), p))
+        assert sigma_p(p, zero).value == float(want), p
+    for M, b1, b2 in ((4, (2, 2, 0, 0), (0, 2, 2, 2)), (8, (2, 0, 0, 0), (4, 2, 0, 2)),
+                      (9, (3, 0, 3, 0), (0, 3, 0, 0)), (4, (0, 0, 0, 0), (2, 0, 0, 0))):
+        p, m = next(iter(factorize(M).items()))
+        b1, b2 = CycInt(*b1), CycInt(*b2)
+        g1, g2 = (CycInt(*(c // p for c in b.coords())) for b in (b1, b2))
+        for k in range(m + 1, m + 4):
+            assert (Fraction(pair_sum(p ** k, M, b1, b2, []), p ** (6 * k))
+                    == Fraction(pair_sum(p ** (k - 2), M // p, g1, g2, []),
+                                p ** (6 * k - 8))), (M, b1, b2, k)
+
+
+# (p, c, d, M, beta1', beta2'): l = v_p(c1^4 + c2^4) >= 1 at (1, 1) mod 2,
+# (1, 2) mod 17 and (1, 110) mod 17 (l = 2); h = v_p(d) >= 1, so p | gcd(cd);
+# p | M with a unit, a non-unit, a zero and a mixed pair of beta'
+_TAU_GRID = [
+    (2, (1, 0), 1, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (2, (1, 1), 1, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (2, (1, 1), 2, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (2, (1, 0), 4, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (2, (1, 1), 1, 2, (1, 0, 0, 0), (1, 0, 0, 0)),
+    (2, (1, 0), 2, 2, (1, 1, 0, 0), (1, 1, 1, 1)),
+    (2, (1, 1), 1, 2, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (2, (1, 2), 2, 4, (0, 2, 0, 0), (2, 2, 2, 2)),
+    (2, (1, 1), 1, 4, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (3, (1, 2), 1, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (3, (1, 0), 3, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (3, (1, 1), 3, 3, (1, 0, 0, 0), (2, 1, 0, 0)),
+    (3, (1, 2), 1, 3, (2, 1, 1, 0), (2, 2, 1, 0)),
+    (3, (1, 0), 1, 3, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (3, (2, 1), 1, 9, (3, 0, 3, 0), (0, 3, 0, 0)),
+    (5, (1, 2), 1, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (5, (1, 1), 5, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (5, (2, 1), 1, 5, (1, 0, 0, 0), (1, 1, 0, 0)),
+    (5, (1, 0), 1, 5, (3, 0, 1, 0), (2, 0, 1, 0)),
+    (5, (1, 2), 1, 5, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (17, (1, 2), 1, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (17, (1, 110), 1, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (17, (1, 0), 17, 1, (0, 0, 0, 0), (0, 0, 0, 0)),
+    (17, (1, 0), 1, 17, (1, 0, 0, 0), (1, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("p,c,d,M,b1,b2", _TAU_GRID)
+def test_tau_p_and_sigma_p_cd_are_their_counts_limits(p, c, d, M, b1, b2):
+    """tau_p(cd) and sigma_p(c, d) are the limits of their own truncated counts:
+    p^-h sum_{k <= K} S_p(cd; k) from sp_vk, and p^-7K pair_sum(p^K, ..., [dc]),
+    each L - C p^(-3K) at truncation_k ... truncation_k + 3.  The two limits are
+    one rational (Lemma 9.3), and each density returns it as a float."""
+    cong = CongruenceData(M, CycRes(b1, M), CycRes(b2, M))
+    b1, b2 = CycInt(*b1), CycInt(*b2)
+    v, h, r = (c[0] * d, c[1] * d), vp(d, p), Fraction(1, p ** 3)
+    t, s = tau_p(Vec2Int(*v), p, cong), sigma_p_cd(p, Vec2Int(*c), d, cong)
+    tau = _limit_of_counts(lambda K: sum(sp_vk(v, p, k, M, b1, b2) for k in range(K + 1))
+                           / p ** h, t.truncation_k, p, r)
+    sig = _limit_of_counts(lambda K: Fraction(pair_sum(p ** K, M, b1, b2, [[d * c[0], d * c[1]]]),
+                                              p ** (7 * K)), s.truncation_k, p, r)
+    assert tau == sig
+    assert (t.value, t.tail_bound, s.value, s.tail_bound) == (float(tau), 0.0, float(sig), 0.0)
+
+
 def test_tau_p_examples():
     # k = 0 term is 1 at M = 1 (constant p^-8m); tau converges
     from qdl.counts import sp_vk
@@ -103,7 +276,7 @@ def test_tau_p_examples():
     with pytest.raises(ValueError):
         tau_p(Vec2Int(0, 0), 3)
     # gcd prefactor: v = (2,2) at p = 2 divides out one power of 2
-    t1 = tau_p(Vec2Int(2, 2), 2, target_tail=1e-6)
+    t1 = tau_p(Vec2Int(2, 2), 2)
     assert t1.value > 0
 
 
@@ -111,8 +284,8 @@ def test_lemma_9_3_sigma_cd_equals_tau():
     for p in (2, 3, 5):
         for c in (Vec2Int(1, 0), Vec2Int(1, 1)):
             for d in (1, 2):
-                s = sigma_p_cd(p, c, d, TRIV, target_tail=1e-5)
-                t = tau_p(Vec2Int(c[0] * d, c[1] * d), p, target_tail=1e-5)
+                s = sigma_p_cd(p, c, d, TRIV)
+                t = tau_p(Vec2Int(c[0] * d, c[1] * d), p)
                 assert abs(s.value - t.value) <= s.tail_bound + t.tail_bound + 1e-12, \
                     (p, tuple(c), d, s, t)
 
@@ -122,7 +295,7 @@ def test_sigma_p_cd_validation():
         sigma_p_cd(5, Vec2Int(2, 4), 1, TRIV)
     # M > 1 with incompatible beta' gives zero density
     incompat = CongruenceData(2, CycRes((1, 0, 0, 0), 2), CycRes((0, 0, 1, 0), 2))
-    est = sigma_p_cd(2, Vec2Int(1, 0), 1, incompat, target_tail=1e-2)
+    est = sigma_p_cd(2, Vec2Int(1, 0), 1, incompat)
     assert est.value == 0.0
 
 
