@@ -27,13 +27,6 @@ PROP63_DIFF_C = 8.0
 PROP72_BOUND_C = 4.0
 PROP72_DIFF_C = 8.0
 
-# p * |S1(a1, a2; p) - a_alpha(p)| <= C at good primes.  a_alpha counts the
-# roots of f_alpha on P^1(F_p), including the root at infinity when
-# p | <alpha,1>, so those primes are not exceptional; measured max 3.0 over
-# criterion 3's 200 samples (p <= 101).  Frozen with headroom; may be
-# tightened, never loosened.
-PROP61_REMAINDER_C = 96.0
-
 # |log G_p(1)| <= C / p^2 and |(log G_p)'(1)| <= C log p / p^2 for the corrected
 # Euler factors G_p of sum rho(q) q^(-s-1) (singular.c_constants tail)
 LOG_G_TAIL_C = 7.0            # calibrated max ~ 6.0 over p <= 1e6

@@ -2,9 +2,11 @@
 
 Everything here works on small dense integer matrices (at most 8x4 in
 practice) with arbitrary-precision Python ints, so there is no overflow to
-worry about.  These primitives back the lattice computations used all over
-the package: ideal norms, kernels of multiplication maps, counting and
-summing additive characters over solution sets of linear congruences.
+worry about.  The package computes with one of them, lattice_index (ideal
+norms, qdl.residues).  The others are oracles: solve_mod and
+char_sum_over_solutions back the Smith-form coset sums that the closed-form
+law of qdl.counts is tested against (counts.beta_coset_char_sum,
+expsums._s1_cosets), and integer_kernel the tests of the lattice scan.
 """
 
 from __future__ import annotations

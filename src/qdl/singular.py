@@ -91,7 +91,8 @@ def _sigma_p_coprime(p: np.ndarray) -> np.ndarray:
     """sigma_p at primes p not dividing M, for an array of primes: 4/3 at p = 2,
     1 + p^-2 + 4/(p+1)^2 at p = 1 (mod 8), 1 + p^-2 at the other odd p.
 
-    There N1~(p^e) = _kernel_size_total(p, e) / p^(4e), whatever beta' is, and with x = p^-2
+    There N1~(p^e) = counts.pair_sum(p^e, 1, 0, 0, []) / p^(6e), whatever beta' is, and with
+    x = p^-2
 
         N1~(p^e) = 1 + sum_{j <= e} x^j ((1 - x) + (1 - 1/p)^2 R(j)),
 

@@ -83,14 +83,18 @@ def test_criterion_02_twisted_multiplicativity():
 
 
 def test_criterion_03_prop61_remainder():
-    """p |S1 - a_alpha| bounded by the frozen constant over 200 good samples,
-    p <= 101; deterministic seed makes this regression-stable."""
+    """p^3 S1(a1, a2; p) = p^3 a_alpha(p) + p^2 (nu(p) - 1) exactly, on the
+    integer numerator pair_sum of s1_fast, over 200 good samples, p <= 101,
+    nu(p) the number of fourth roots of -1 mod p (the identity of Prop. 6.1,
+    proved at counts._coset_law); deterministic seed makes this
+    regression-stable."""
     rng = np.random.default_rng(103)
-    from qdl.residues import sieve_primes
+    from qdl.counts import pair_sum
+    from qdl.residues import _fourth_root_count, sieve_primes
 
     primes = [p for p in sieve_primes(101) if p > 2]
     samples = 0
-    worst = 0.0
+    wrong = []
     while samples < 200:
         p = primes[int(rng.integers(0, len(primes)))]
         a1, a2 = rand_cyc(rng, -10, 11), rand_cyc(rng, -10, 11)
@@ -98,11 +102,13 @@ def test_criterion_03_prop61_remainder():
         N = norm(al)
         if N == 0 or N % p == 0:
             continue
-        s1 = s1_fast(a1, a2, p, TRIV).value
-        worst = max(worst, p * abs(s1 - a_alpha(al, p)))
+        num = pair_sum(p, 1, CycInt(0), CycInt(0), [[p, 0], [0, p]], a1, a2)
+        if num != p ** 3 * a_alpha(al, p) + p ** 2 * (_fourth_root_count(p, 1) - 1):
+            wrong.append((p, a1, a2, num))
         samples += 1
-    ok = worst <= C.PROP61_REMAINDER_C
-    assert report(3, ok, f"max p|S1 - a| = {worst:.3f} <= frozen C = {C.PROP61_REMAINDER_C}")
+    ok = not wrong
+    assert report(3, ok, f"p^3 S1 = p^3 a + p^2 (nu - 1) exactly on {samples} samples, "
+                         f"{len(wrong)} wrong {wrong[:3]}")
 
 
 def test_criterion_04_prop63_prop72_bounds():

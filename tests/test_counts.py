@@ -4,11 +4,16 @@ import math
 import numpy as np
 import pytest
 
+import qdl.counts
+import qdl.linalg
 from qdl import InvariantError
-from qdl.counts import (S1_FAST_QMAX, ZERO, beta_coset_char_sum, exact_phase_sum, pair_sum,
+from qdl.counts import (S1_FAST_QMAX, ZERO, _coset_law, _law_rows, _line_rows,
+                        _orbit_total, beta_coset_char_sum, exact_phase_sum, orbit_rows, pair_sum,
                         phase_sum, sp_vk)
-from qdl.cyclotomic import CycInt, ell_matrix, mult_matrix
+from qdl.cyclotomic import CycInt, CycRes, Vec2Int, ell_matrix, mult_matrix
+from qdl.expsums import CongruenceData, s1_fast, s2_fast
 from qdl.residues import divisors, factorize
+from qdl.singular import sigma_p, sigma_p_cd, tau_p
 
 
 def sp_vk_brute(v, p, k, M, b1, b2):
@@ -221,3 +226,127 @@ def test_exact_phase_sum():
     for p, e in ((3, 1), (2, 2), (5, 2)):
         with pytest.raises(InvariantError):
             exact_phase_sum({1: 1}, p, e)
+
+
+def _fourth_roots(p, e):
+    """The y mod p^e with y^4 = -1 (mod p^e)."""
+    return [y for y in range(p ** e) if (y ** 4 + 1) % p ** e == 0]
+
+
+def test_coset_law_matches_beta_coset_char_sum():
+    """The law after beta = b0 + g gamma against the Smith-form oracle, exact
+    on (count, r), at every m from 0 to e: lam = p^s lam' at every level s
+    (s = e is lam = 0), at p = 1 (mod 8) also lam' = 1 + y zeta with y near a
+    fourth root of -1 (v up to e - s), right sides c = 0 and c != 0, and mu
+    in g lam O, which opens the v-gates."""
+    rng = np.random.default_rng(53)
+    seen = {"open": 0, "shut": 0, "flat open": 0, "v >= 2 open": 0, "homogeneous open": 0}
+    for p, top in ((2, 5), (3, 3), (5, 3), (17, 3), (41, 2)):
+        roots = {e: _fourth_roots(p, e) for e in range(1, top + 1)}
+        for e in range(1, top + 1):
+            n = p ** e
+            for m in range(e + 1):
+                g = p ** m
+                for draw in range(60):
+                    near = roots[e] and draw % 3 != 2  # near a fourth root of -1 mod p^e
+                    s = 0 if near and draw % 2 else int(rng.integers(0, e + 1))
+                    ms = p ** (e - s)
+                    if s == e:
+                        rep = (0, 0)
+                    elif near:
+                        j = int(rng.integers(1, e - s + 1))
+                        rep = (1, (roots[e][draw % len(roots[e])] + p ** j * int(rng.integers(0, p))) % ms)
+                    else:
+                        x, y = (int(t) for t in rng.integers(0, ms, 2))
+                        rep = (x, y) if (x % p or y % p) else (1, y)
+                    lam = CycInt(p ** s * rep[0] % n, p ** s * rep[1] % n)
+                    b0, mu, t = (CycInt(*(int(c) for c in rng.integers(-9, 10, 4))) for _ in range(3))
+                    homogeneous = draw % 2 == 0
+                    if draw % 4 == 1:  # mu in g lam O opens the gates of A1 = mu
+                        mu = g * lam * mu
+                    if homogeneous:
+                        rhs = ZERO
+                    else:  # lam times a coset element, sometimes perturbed
+                        rhs = lam * (b0 + g * t) + (t if rng.random() < 0.3 else ZERO)
+                    want = beta_coset_char_sum(n, g, lam, rhs, b0, mu)
+                    law = _law_rows(p, e, m, np.array([rep]), np.array([s]))
+                    q = n // g
+                    ok, T = _coset_law(law, p, q, np.array([mu.coords()]) % q,
+                                       np.array([(lam * b0 - rhs).coords()]) % q)
+                    r = T // law.div
+                    E = int(law.ek[0]) - e + s + 1  # log_p of the count
+                    if ok[0]:
+                        got = (p ** E, ((mu * b0).c3 + g * p ** (s + m) * int(r[0])) % n)
+                    else:
+                        got = (0, 0)
+                    assert got == want, (p, e, m, rep, s, b0, mu, rhs)
+                    flat = s + m >= e - m
+                    seen["open" if ok[0] else "shut"] += 1
+                    seen["flat open"] += bool(ok[0] and flat)
+                    seen["homogeneous open"] += bool(ok[0] and homogeneous and not flat)
+                    seen["v >= 2 open"] += bool(ok[0] and not flat and E - 4 * (s + m) >= 2)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_line_rows_match_the_filtered_table():
+    """sp_vk's rows on the line lam.v = 0 (p^k), built without the table, are
+    the level-0 rows of orbit_rows(p, k) on that line, in table order."""
+    for p in (2, 3, 5, 17):
+        k = 1
+        while p ** k <= 10 ** 4:
+            pk = p ** k
+            tab = orbit_rows(p, k)
+            level0 = tab.rep[tab.s == 0]
+            vs = {(1, 0), (0, 1), (1, 1), (p, 1), (1, p), (p, p), (2, 3), (pk, 1), (p ** (k - 1), p),
+                  (0, 0), (pk, pk), (7, p * p), (-3, 5)}
+            for v in vs:
+                want = level0[(level0 @ np.array([v[0] % pk, v[1] % pk])) % pk == 0]
+                assert np.array_equal(_line_rows(p, k, (v[0] % pk, v[1] % pk)), want), (p, k, v)
+            k += 1
+
+
+def test_full_dual_count_is_its_row_sum():
+    """At g = 1 with D everything, the count by the number of rows with each
+    v equals the law's orbit sums over every row of orbit_rows(p, e)."""
+    for p in (2, 3, 5, 7, 17, 41):
+        e = 1
+        while p ** e <= 2 * 10 ** 4:
+            pe = p ** e
+            rows = orbit_rows(p, e)
+            rows_sum = pe ** 4 + _orbit_total(p, e, 0, rows.rep, rows.lam, rows.s, ZERO, ZERO)
+            assert pair_sum(pe, 1, ZERO, ZERO, []) == pe * pe * rows_sum, (p, e)
+            e += 1
+
+
+def test_engine_makes_no_smith_form_solve(monkeypatch):
+    """With the Smith-form solver patched to raise, pair_sum, sp_vk and the
+    local densities still run over the classes mod 2, 3, 4 and 9, and S1, S2
+    over a grid at M = 2, 3."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Smith-form solve on the engine's path")
+
+    for mod, name in ((qdl.linalg, "solve_mod"), (qdl.linalg, "smith_normal_form"),
+                      (qdl.counts, "solve_mod"), (qdl.counts, "beta_coset_char_sum")):
+        monkeypatch.setattr(mod, name, refuse)
+    rng = np.random.default_rng(59)
+    for M in (2, 3, 4, 9):
+        p = factorize(M).popitem()[0]
+        for b in itertools.product(range(M), repeat=4):
+            if rng.random() > 40 / M ** 4:  # every class mod 2, about 40 of the others
+                continue
+            b1, b2 = CycInt(*b), CycInt(*(int(x) for x in rng.integers(0, M, 4)))
+            cong = CongruenceData(M, CycRes(b1.coords(), M), CycRes(b2.coords(), M))
+            pair_sum(p ** 3, M, b1, b2, [])
+            pair_sum(p ** 2, M, b1, b2, [[1, 3]], CycInt(1, 2), CycInt(0, 1, 1))
+            sp_vk((1, p), p, 2, M, b1, b2)
+            sigma_p(p, cong)
+            tau_p(Vec2Int(1, 2), p, cong)
+            sigma_p_cd(p, Vec2Int(2, 1), p, cong)
+    for M, b in ((2, (1, 1, 0, 0)), (3, (1, 2, 0, 1))):
+        cong = CongruenceData(M, CycRes(b, M), CycRes((1, 0, 0, 0), M))
+        for q in range(1, 13):
+            a1, a2 = (CycInt(*(int(x) for x in rng.integers(-6, 7, 4))) for _ in range(2))
+            s1_fast(a1, a2, q, cong)
+        for d, q in ((1, 4), (2, 3), (3, 2), (2, 6), (4, 3)):
+            a1, a2 = (CycInt(*(int(x) for x in rng.integers(-6, 7, 4))) for _ in range(2))
+            s2_fast(a1, a2, Vec2Int(1, 2), d, q, cong)

@@ -131,9 +131,10 @@ def test_s1_closed_form_matches_coset_oracle():
                  (7, 1), (7, 2), (17, 1), (41, 1)):
         q = p ** e
         rows = orbit_rows(p, e)
+        ends = np.cumsum([p ** k + p ** (k - 1) for k in range(e, 0, -1)]).tolist()  # s has k = e - s
         orbits, covered, oracle = [], set(), []
         for i, (x, y) in enumerate(rows.rep.tolist()):
-            s = sum(i >= end for end in rows.ends)  # the row's level
+            s = sum(i >= end for end in ends)  # the row's level
             m = p ** (e - s)
             assert (rows.s[i], rows.m[i], *rows.lam[i]) == (s, m, p ** s * x % q, p ** s * y % q)
             assert x % p or y % p, (q, s, x, y)  # lambda' is primitive

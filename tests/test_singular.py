@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qdl import constants as C
-from qdl.counts import ZERO, _kernel_size_total, pair_sum, sp_vk
+from qdl.counts import ZERO, pair_sum, sp_vk
 from qdl.cyclotomic import CycInt, CycRes, Vec2Int, conj_star, ell, mult_matrices, norm
 from qdl.expsums import CongruenceData, n1_tilde
 from qdl.residues import factorize, rho, rho_prime_power, sieve_primes, vp
@@ -552,7 +552,7 @@ def _sigma_p_limit_and_tail(p, e):
 
 
 def test_sigma_p_closed_form_matches_kernel_limit():
-    # N1~(p^e) = _kernel_size_total(p, e) / p^(4e) exactly equals sigma_p less a
+    # N1~(p^e) = pair_sum(p^e, 1, 0, 0, []) / p^(6e) exactly equals sigma_p less a
     # tail that is O(e p^-2e), so sigma_p is its limit
     for p in sieve_primes(300):
         sigma, _ = _sigma_p_limit_and_tail(p, 1)
@@ -562,12 +562,12 @@ def test_sigma_p_closed_form_matches_kernel_limit():
         assert (est.value, est.truncation_k, est.tail_bound) == (value, 0, 0.0), p
         for e in range(1, 9):
             sigma, tail = _sigma_p_limit_and_tail(p, e)
-            assert Fraction(_kernel_size_total(p, e), p ** (4 * e)) == sigma - tail, (p, e)
+            assert Fraction(pair_sum(p ** e, 1, ZERO, ZERO, []), p ** (6 * e)) == sigma - tail, (p, e)
             assert 0 <= tail <= Fraction(e + 2, p ** (2 * e)), (p, e)
     # the count sigma_p used to truncate is that same ratio
     for p, k in ((2, 5), (3, 3), (17, 2)):
         assert n1_tilde(p ** k, TRIV, "full") == float(
-            Fraction(_kernel_size_total(p, k), p ** (4 * k)))
+            Fraction(pair_sum(p ** k, 1, ZERO, ZERO, []), p ** (6 * k)))
 
 
 def _sigma_p_product_by_truncation(cong, P=300, target_tail=1e-6):
